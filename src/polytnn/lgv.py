@@ -25,7 +25,8 @@ from itertools import permutations
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError, CrossCheckError
-from .exactnum import binomial
+from .exactnum import binomial  # noqa: F401 -- lgv.binomial is counted by bench/tracing.py
+from .transfer import path_weight_closed_form
 
 __all__ = [
     "Arc",
@@ -138,13 +139,6 @@ def path_weight_sum(g: LatticeGraph, i: int, j: int) -> Fraction:
             f"path weight sum for n={g.n}, i={i}, j={j} is not an integer: {total}"
         )
     return total
-
-
-def path_weight_closed_form(n: int, i: int, j: int) -> int:
-    """Closed form C(n-i, n-j) - C(i, n-j) for i <= j, zero for i > j."""
-    if i > j:
-        return 0
-    return binomial(n - i, n - j) - binomial(i, n - j)
 
 
 def path_weight(g: LatticeGraph, path: Sequence[Vertex]) -> Fraction:

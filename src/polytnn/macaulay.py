@@ -73,11 +73,15 @@ def macaulay_expand(value: int, k: int) -> MacaulayExpansion:
     rem = value
     t = k
     while rem > 0:
-        # largest a with C(a, t) <= rem; the greedy choice keeps both the
-        # a values and the indices strictly decreasing
-        a = t
-        while binomial(a + 1, t) <= rem:
-            a += 1
+        # largest a with C(a, t) <= rem: double hi until C(hi, t) > rem, then
+        # bisect keeping C(a, t) <= rem < C(hi, t); the greedy choice keeps
+        # both the a values and the indices strictly decreasing
+        a, hi = t, t + 1
+        while binomial(hi, t) <= rem:
+            a, hi = hi, 2 * hi
+        while hi - a > 1:
+            mid = (a + hi) // 2
+            a, hi = (mid, hi) if binomial(mid, t) <= rem else (a, mid)
         terms.append((a, t))
         rem -= binomial(a, t)
         t -= 1

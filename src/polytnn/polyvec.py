@@ -21,7 +21,7 @@ from typing import Optional
 
 from .exactnum import binomial
 from .macaulay import MSequenceVerdict, is_m_sequence
-from .transfer import path_matrix, transfer_matrix
+from .transfer import path_matrix
 
 __all__ = [
     "FVector",
@@ -124,21 +124,14 @@ def g_to_f(g: GVector, augmented: bool = False):
     Plain form returns the FVector (f_0, ..., f_{d-1}) = g . M. The
     augmented form multiplies by the path matrix of order d+1 instead and
     returns the raw tuple (f_{-1}, f_0, ..., f_{d-1}), whose first entry
-    equals g_0.
+    equals g_0; the transfer matrix is the path matrix without column 0,
+    so the plain form is the augmented one without that entry.
     """
-    d = g.d
-    if augmented:
-        w = path_matrix(d + 1)
-        return tuple(
-            sum(g.values[i] * w.entries[i][j] for i in range(len(g.values)))
-            for j in range(d + 1)
-        )
-    m = transfer_matrix(d)
-    counts = tuple(
-        sum(g.values[i] * m.entries[i][j] for i in range(len(g.values)))
-        for j in range(d)
+    w = path_matrix(g.d + 1)
+    raw = tuple(
+        sum(x * row[j] for x, row in zip(g.values, w.entries)) for j in range(g.d + 1)
     )
-    return FVector(d, counts)
+    return raw if augmented else FVector(g.d, raw[1:])
 
 
 def euler_check(f: FVector) -> bool:

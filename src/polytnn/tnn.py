@@ -1,9 +1,10 @@
 """Exact total-nonnegativity certification by exhaustive minor enumeration.
 
 A matrix is totally nonnegative when every minor, of every order, is
-nonnegative. This module computes determinants exactly (integers stay
-integers; anything else runs over Fraction), enumerates all row/column
-subsets in lexicographic order, and reports either a clean bill or the
+nonnegative. This module scales each row once by the lcm of its
+denominators, computes every minor exactly by integer Bareiss elimination
+divided by its rows' scales, enumerates all row/column subsets in
+lexicographic order, and reports either a clean bill or the
 lexicographically first negative minor as a concrete witness. The scan
 never stops early at a negative minor for the minimum bookkeeping, so the
 report is identical no matter how the work is split across processes.
@@ -12,10 +13,12 @@ report is identical no matter how the work is split across processes.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -72,7 +75,17 @@ def as_matrix(m) -> ExactMatrix:
     return ExactMatrix(tuple(tuple(row) for row in entries))
 
 
-def _bareiss_int(rows: list[list[int]]) -> int:
+def _clear(entries) -> tuple[list[list[int]], list[int]]:
+    """Scale each row by the lcm of its denominators: (integer rows, scales)."""
+    ints, scales = [], []
+    for row in entries:
+        scale = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return ints, scales
+
+
+def _bareiss(rows: list[list[int]]) -> int:
     """Fraction-free Gaussian elimination; every division is exact."""
     n = len(rows)
     sign = 1
@@ -95,27 +108,17 @@ def _bareiss_int(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def _gauss_fraction(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    sign = 1
-    det = Fraction(1)
-    for k in range(n):
-        if rows[k][k] == 0:
-            for r in range(k + 1, n):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = rows[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = rows[i][k] / pivot
-            if factor:
-                for j in range(k, n):
-                    rows[i][j] -= factor * rows[k][j]
-    return sign * det
+def _row_minors(ints, scales, order: int, rows: Sequence[int]):
+    """Yield (cols, exact value) for every minor on rows, cols in order.
+
+    The minor is the scaled one divided by the rows' positive scales: an
+    int when their product is 1, else a Fraction.
+    """
+    scale = prod(scales[i] for i in rows)
+    sub = [ints[i] for i in rows]
+    for cols in combinations(range(len(ints[0])), order):
+        det = _bareiss([[r[j] for j in cols] for r in sub])
+        yield cols, det if scale == 1 else Fraction(det, scale)
 
 
 def determinant(m) -> Scalar:
@@ -123,11 +126,8 @@ def determinant(m) -> Scalar:
     mat = as_matrix(m)
     if mat.rows != mat.cols:
         raise ValueError(f"determinant needs a square matrix, got {mat.rows}x{mat.cols}")
-    if all(isinstance(x, int) for row in mat.entries for x in row):
-        return _bareiss_int([list(row) for row in mat.entries])
-    return _gauss_fraction(
-        [[Fraction(x) for x in row] for row in mat.entries]
-    )
+    [minor] = iter_minors(mat, mat.rows)
+    return minor.value
 
 
 class MinorWitness(NamedTuple):
@@ -150,9 +150,7 @@ class TnnReport:
 
     def to_json_obj(self) -> dict:
         def num(x: Scalar):
-            if isinstance(x, Fraction):
-                return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-            return x
+            return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
         obj = {
             "is_tnn": self.is_tnn,
@@ -179,28 +177,27 @@ def iter_minors(m, order: int):
         raise ValueError(
             f"minor order must be in 1..{min(mat.rows, mat.cols)}, got {order}"
         )
+    ints, scales = _clear(mat.entries)
     for rows in combinations(range(mat.rows), order):
-        for cols in combinations(range(mat.cols), order):
-            yield MinorWitness(rows, cols, determinant(mat.submatrix(rows, cols)))
+        for cols, value in _row_minors(ints, scales, order, rows):
+            yield MinorWitness(rows, cols, value)
 
 
 def _scan_rows(args) -> tuple:
     """One worker task: fixed order and row set, all column subsets in order.
 
-    Returns (count, min value, columns of the first negative minor or None).
+    Takes the arguments of _row_minors; returns (count, min value, the
+    first negative minor as (cols, value) or None).
     """
-    entries, order, rows = args
-    mat = ExactMatrix(entries)
     count = 0
     best: Optional[Scalar] = None
-    first_neg: Optional[tuple[int, ...]] = None
-    for cols in combinations(range(mat.cols), order):
-        val = determinant(mat.submatrix(rows, cols))
+    first_neg = None
+    for cols, val in _row_minors(*args):
         count += 1
         if best is None or val < best:
             best = val
         if val < 0 and first_neg is None:
-            first_neg = cols
+            first_neg = (cols, val)
     return count, best, first_neg
 
 
@@ -210,7 +207,8 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
     The task list is the sequence of (order, row set) pairs in increasing
     lexicographic order; results are folded in that same order, so the
     report (including the witness, which is the lexicographically first
-    negative minor) does not depend on jobs.
+    negative minor) does not depend on jobs. At most min(jobs, tasks, CPUs)
+    worker processes run, and none when that is 1.
     """
     mat = as_matrix(m)
     limit = min(mat.rows, mat.cols)
@@ -220,15 +218,17 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
         raise ValueError(f"max_order must be in 1..{limit}, got {max_order}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    ints, scales = _clear(mat.entries)
     tasks = [
-        (mat.entries, order, rows)
+        (ints, scales, order, rows)
         for order in range(1, max_order + 1)
         for rows in combinations(range(mat.rows), order)
     ]
-    if jobs == 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         results = map(_scan_rows, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_rows, tasks, chunksize=8))
     total = 0
     min_minor: Optional[Scalar] = None
@@ -238,7 +238,6 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
         if best is not None and (min_minor is None or best < min_minor):
             min_minor = best
         if witness is None and first_neg is not None:
-            _, order, rows = task
-            witness = MinorWitness(rows, first_neg, determinant(mat.submatrix(rows, first_neg)))
+            witness = MinorWitness(task[-1], *first_neg)
     assert min_minor is not None
     return TnnReport(witness is None, total, min_minor, witness)

@@ -1,10 +1,10 @@
 """Transfer matrices and path matrices with exact integer entries.
 
-The transfer matrix for dimension d has floor(d/2)+1 rows, d columns and
-entries C(d+1-i, d-j) - C(i, d-j). The path matrix of order n has
-ceil(n/2) rows, n columns and entries C(n-i, n-j) - C(i, n-j) for i <= j,
-zero below the diagonal; its column 0 is always (1, 0, ..., 0) and
-dropping that column leaves exactly the transfer matrix for d = n-1.
+The path matrix of order n has ceil(n/2) rows, n columns and entries
+path_weight_closed_form(n, i, j), zero below the diagonal; its column 0
+is always (1, 0, ..., 0) and dropping that column leaves exactly the
+transfer matrix for d = n-1, with floor(d/2)+1 rows, d columns and
+entries C(d+1-i, d-j) - C(i, d-j), which is how transfer_matrix builds it.
 Both forms are exposed because both are useful: the path matrix carries
 the augmented leading column for the implied face count f_{-1} = 1, the
 transfer matrix matches the entry formula indexed by dimension.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import binomial
 
@@ -23,6 +24,7 @@ __all__ = [
     "PathMatrix",
     "transfer_matrix",
     "path_matrix",
+    "path_weight_closed_form",
     "strip_leading_column",
     "parse_matrix_csv",
     "parse_matrix_json",
@@ -102,29 +104,31 @@ class PathMatrix:
         return json.dumps(obj, sort_keys=True)
 
 
-def transfer_matrix(d: int) -> TransferMatrix:
-    """Build the transfer matrix for dimension d >= 1 from its entry formula."""
-    if d < 1:
-        raise ValueError(f"transfer_matrix: d must be >= 1, got {d}")
-    entries = tuple(
-        tuple(binomial(d + 1 - i, d - j) - binomial(i, d - j) for j in range(d))
-        for i in range(d // 2 + 1)
-    )
-    return TransferMatrix(d, entries)
+def path_weight_closed_form(n: int, i: int, j: int) -> int:
+    """Path-matrix entry C(n-i, n-j) - C(i, n-j) for i <= j, zero for i > j."""
+    if i > j:
+        return 0
+    return binomial(n - i, n - j) - binomial(i, n - j)
 
 
+@lru_cache
 def path_matrix(n: int) -> PathMatrix:
     """Build the path matrix of order n >= 2 from its entry formula."""
     if n < 2:
         raise ValueError(f"path_matrix: n must be >= 2, got {n}")
     entries = tuple(
-        tuple(
-            0 if i > j else binomial(n - i, n - j) - binomial(i, n - j)
-            for j in range(n)
-        )
+        tuple(path_weight_closed_form(n, i, j) for j in range(n))
         for i in range((n + 1) // 2)
     )
     return PathMatrix(n, entries)
+
+
+@lru_cache
+def transfer_matrix(d: int) -> TransferMatrix:
+    """The transfer matrix for dimension d >= 1: path matrix d+1 minus column 0."""
+    if d < 1:
+        raise ValueError(f"transfer_matrix: d must be >= 1, got {d}")
+    return strip_leading_column(path_matrix(d + 1))
 
 
 def strip_leading_column(w: PathMatrix) -> TransferMatrix:
@@ -138,9 +142,16 @@ def strip_leading_column(w: PathMatrix) -> TransferMatrix:
 
 def _parse_entry(text: str):
     s = text.strip()
-    if "/" in s:
-        return Fraction(s)
-    return int(s)
+    try:
+        return Fraction(s) if "/" in s else int(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in matrix entry {s!r}") from None
+
+
+def _rectangular(rows: list, what: str) -> tuple[tuple, ...]:
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError(f"{what}: ragged rows")
+    return tuple(rows)
 
 
 def parse_matrix_csv(text: str) -> tuple[tuple, ...]:
@@ -157,15 +168,14 @@ def parse_matrix_csv(text: str) -> tuple[tuple, ...]:
         rows.append(tuple(_parse_entry(cell) for cell in line.split(",")))
     if not rows:
         raise ValueError("parse_matrix_csv: no rows found")
-    width = len(rows[0])
-    for r in rows:
-        if len(r) != width:
-            raise ValueError("parse_matrix_csv: ragged rows")
-    return tuple(rows)
+    return _rectangular(rows, "parse_matrix_csv")
 
 
-def parse_matrix_json(text: str) -> tuple[tuple[int, ...], ...]:
-    """Parse a matrix from JSON of the form {"d": int | "n": int, "rows": [[int,...],...]}."""
+def parse_matrix_json(text: str) -> tuple[tuple, ...]:
+    """Parse a matrix from JSON of the form {"d": int | "n": int, "rows": [[...], ...]}.
+
+    Cells are integers, or strings read as CSV cells are (so "p/q" works).
+    """
     obj = json.loads(text)
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ValueError('parse_matrix_json: expected an object with a "rows" field')
@@ -174,11 +184,7 @@ def parse_matrix_json(text: str) -> tuple[tuple[int, ...], ...]:
         raise ValueError('parse_matrix_json: "rows" must be a nonempty list')
     out = []
     for r in rows:
-        if not isinstance(r, list) or not all(type(e) is int for e in r):
-            raise ValueError("parse_matrix_json: rows must be lists of integers")
-        out.append(tuple(r))
-    width = len(out[0])
-    for r in out:
-        if len(r) != width:
-            raise ValueError("parse_matrix_json: ragged rows")
-    return tuple(out)
+        if not isinstance(r, list) or not all(type(e) in (int, str) for e in r):
+            raise ValueError('parse_matrix_json: rows must be lists of integers or "p/q" strings')
+        out.append(tuple(e if type(e) is int else _parse_entry(e) for e in r))
+    return _rectangular(out, "parse_matrix_json")

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: Pascal recursion instead of the
 closed form, step-by-step path walking instead of reflection counting,
-cofactor expansion instead of elimination, subset counting instead of
+cofactor expansion instead of elimination, a linear search for each
+binomial expansion term instead of bisection, subset counting instead of
 transform algebra. Agreement between these and the library is the point
 of most tests, so none of this may import shortcuts from the package.
 """
@@ -10,6 +11,7 @@ of most tests, so none of this may import shortcuts from the package.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 
 @lru_cache(maxsize=None)
@@ -54,6 +56,43 @@ def cofactor_det(rows):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * Fraction(rows[0][j]) * cofactor_det(minor)
     return total
+
+
+def all_minors(rows, order):
+    """Every order-by-order minor as (rows, cols, value), lexicographically."""
+    return [
+        (r, c, cofactor_det([[rows[i][j] for j in c] for i in r]))
+        for r in combinations(range(len(rows)), order)
+        for c in combinations(range(len(rows[0])), order)
+    ]
+
+
+def minor_scan(rows):
+    """(minors checked, least minor, first negative (rows, cols, value) or None).
+
+    Minors are taken in (order, rows, cols) lexicographic order.
+    """
+    minors = [m for k in range(1, min(len(rows), len(rows[0])) + 1) for m in all_minors(rows, k)]
+    negative = [m for m in minors if m[2] < 0]
+    return len(minors), min(m[2] for m in minors), negative[0] if negative else None
+
+
+def greedy_expansion(value: int, k: int) -> tuple:
+    """Greedy k-binomial expansion of value >= 1 as (a, t) pairs.
+
+    Each a is found by stepping up one at a time from t while C(a+1, t)
+    still fits in what is left.
+    """
+    terms = []
+    rem, t = value, k
+    while rem > 0:
+        a = t
+        while comb(a + 1, t) <= rem:
+            a += 1
+        terms.append((a, t))
+        rem -= comb(a, t)
+        t -= 1
+    return tuple(terms)
 
 
 def face_counts(facets) -> tuple:

@@ -89,6 +89,34 @@ class TestTnnCommand:
         res = run_cli("tnn", "--file", str(f))
         assert res.returncode == 0
 
+    def test_zero_denominator_is_domain_error(self, tmp_path):
+        f = tmp_path / "zero.csv"
+        f.write_text("1,1/0\n2,3\n")
+        res = run_cli("tnn", "--file", str(f))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
+    def test_rational_file_rendering(self, tmp_path):
+        csv_file = tmp_path / "half.csv"
+        csv_file.write_text("1/2,1\n1,1\n")
+        json_file = tmp_path / "half.json"
+        json_file.write_text(json.dumps({"rows": [["1/2", 1], [1, 1]]}))
+        text = run_cli("tnn", "--file", str(csv_file))
+        assert text.returncode == 3
+        assert text.stdout == (
+            "is_tnn: false\nminors_checked: 5\nmin_minor: -1/2\n"
+            "witness: rows={0,1} cols={0,1} value=-1/2\n"
+        )
+        as_json = run_cli("tnn", "--file", str(csv_file), "--format", "json")
+        assert json.loads(as_json.stdout)["min_minor"] == "-1/2"
+        assert '"min_minor": "-1/2"' in as_json.stdout
+        for fmt in ("text", "json"):
+            from_csv = run_cli("tnn", "--file", str(csv_file), "--format", fmt)
+            from_json = run_cli("tnn", "--file", str(json_file), "--format", fmt)
+            assert from_json.returncode == from_csv.returncode == 3
+            assert from_json.stdout == from_csv.stdout
+
     def test_missing_file(self):
         res = run_cli("tnn", "--file", "/nonexistent/matrix.csv")
         assert res.returncode == 1
@@ -169,6 +197,11 @@ class TestMsequenceCommand:
     def test_wrong_head(self):
         res = run_cli("msequence", "--seq", "2,1")
         assert res.stdout == "false, k=0\n"
+
+    def test_huge_entry_finishes(self):
+        res = run_cli("msequence", "--seq", "1,1000000000000", timeout=5)
+        assert res.returncode == 0
+        assert res.stdout == "true\n"
 
     def test_oracle_flag_agrees(self):
         res = run_cli("msequence", "--seq", "1,3,5", "--oracle")

@@ -12,6 +12,7 @@ from polytnn import (
     macaulay_expand,
     oracle_is_m_sequence,
 )
+from oracles import greedy_expansion
 
 
 def all_valid_expansions(value, k):
@@ -78,6 +79,21 @@ class TestExpansion:
                 greedy = macaulay_expand(value, k).terms
                 assert valid.count(greedy) == 1
                 assert len(valid) == 1, (value, k, valid)
+
+    def test_matches_linear_greedy_reference(self):
+        for k in range(1, 7):
+            for value in range(1, 2001):
+                assert macaulay_expand(value, k).terms == greedy_expansion(value, k), (value, k)
+
+    def test_huge_values_are_greedy(self):
+        # each a is the largest with C(a, t) within what is left
+        for value in (10**6, 10**12 + 7, 3**80):
+            for k in (1, 2, 5, 12):
+                rem = value
+                for a, t in macaulay_expand(value, k).terms:
+                    assert binomial(a, t) <= rem < binomial(a + 1, t)
+                    rem -= binomial(a, t)
+                assert rem == 0
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import polytnn.tnn as tnn
 from polytnn import (
     ExactMatrix,
     MinorWitness,
@@ -18,7 +19,36 @@ from polytnn import (
     strip_leading_column,
     transfer_matrix,
 )
-from oracles import cofactor_det
+from oracles import all_minors, cofactor_det, minor_scan
+
+
+def cross_check_matrices():
+    """Seeded matrices up to 5x7 over small ints and p/q rationals.
+
+    Covers zero rows, repeated rows, single rows and single columns, and
+    TNN inputs (a path matrix, and the same with scaled-down rows).
+    """
+    rng = random.Random(20261018)
+    mats = []
+    for trial in range(48):
+        r, c = rng.randint(1, 5), rng.randint(1, 7)
+        if trial % 2:
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(c)] for _ in range(r)]
+        else:
+            rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+        if r > 1 and trial % 3 == 1:
+            rows[rng.randrange(r)] = [0] * c
+        if r > 1 and trial % 3 == 2:
+            rows[-1] = list(rows[0])
+        mats.append(tuple(tuple(row) for row in rows))
+    mats += [
+        ((1, -2, 3, 0, Fraction(-1, 3), 4, 5),),
+        tuple((x,) for x in (2, Fraction(-5, 2), 0, 7, 1)),
+        ((0, 0, 0), (0, 0, 0)),
+        path_matrix(7).entries,
+        tuple(tuple(Fraction(x, i + 2) for x in row) for i, row in enumerate(path_matrix(7).entries)),
+    ]
+    return mats
 
 
 class TestDeterminant:
@@ -167,6 +197,66 @@ class TestIsTotallyNonnegative:
             is_totally_nonnegative(m, max_order=3)
         with pytest.raises(ValueError):
             is_totally_nonnegative(m, jobs=0)
+
+
+class TestAgainstCofactorOracle:
+    def test_scan_matches_brute_force(self):
+        for rows in cross_check_matrices():
+            count, least, first_neg = minor_scan(rows)
+            expected = TnnReport(
+                first_neg is None,
+                count,
+                least,
+                None if first_neg is None else MinorWitness(*first_neg),
+            )
+            for jobs in (1, 2):
+                assert is_totally_nonnegative(ExactMatrix(rows), jobs=jobs) == expected, (rows, jobs)
+
+    def test_iter_minors_matches_brute_force(self):
+        for rows in cross_check_matrices():
+            for order in range(1, min(len(rows), len(rows[0])) + 1):
+                got = [tuple(m) for m in iter_minors(rows, order)]
+                assert got == all_minors(rows, order), (rows, order)
+
+    def test_integral_input_gives_int_values(self):
+        rows = ((Fraction(4, 2), 1), (3, Fraction(6, 3)))
+        assert all(type(m.value) is int for k in (1, 2) for m in iter_minors(rows, k))
+        assert type(determinant(rows)) is int
+
+
+class TestWorkerCount:
+    def test_workers_capped_by_tasks_and_cpus(self, monkeypatch):
+        created = []
+
+        class InlinePool:
+            """Stands in for the process pool: records max_workers, maps in-process."""
+
+            def __init__(self, max_workers=None):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(tnn, "ProcessPoolExecutor", InlinePool)
+        m = ExactMatrix(((1, 2), (3, 4)))  # three tasks: two rows of order 1, one of order 2
+        serial = is_totally_nonnegative(m)
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
+        assert is_totally_nonnegative(m, jobs=10**9) == serial
+        assert created == [3]
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
+        assert is_totally_nonnegative(m, jobs=10**9) == serial
+        assert created == [3, 2]
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: None)
+        assert is_totally_nonnegative(m, jobs=8) == serial
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
+        assert is_totally_nonnegative(ExactMatrix(((5,),)), jobs=8)
+        assert created == [3, 2]
 
 
 class TestLgvCrossCheck:

@@ -51,6 +51,10 @@ class TestTransferMatrix:
                 for value in row:
                     assert value >= 0
 
+    def test_built_once(self):
+        assert transfer_matrix(7) is transfer_matrix(7)
+        assert path_matrix(8) is path_matrix(8)
+
     def test_nonpositive_d_rejected(self):
         with pytest.raises(ValueError):
             transfer_matrix(0)
@@ -137,6 +141,19 @@ class TestSerialization:
             parse_matrix_csv("1,x\n")
         with pytest.raises(ValueError):
             parse_matrix_csv("")
+
+    def test_parse_csv_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_matrix_csv("1,1/0\n2,3\n")
+
+    def test_parse_json_rationals(self):
+        text = json.dumps({"rows": [["1/2", 3], ["-2/7", "0"]]})
+        assert parse_matrix_json(text) == parse_matrix_csv("1/2,3\n-2/7,0\n")
+
+    def test_parse_json_rejects_bad_cells(self):
+        for cell in (True, 1.5, None, "x", "1/0", [1]):
+            with pytest.raises(ValueError):
+                parse_matrix_json(json.dumps({"rows": [[cell, 1], [1, 1]]}))
 
     def test_parse_json_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
