@@ -1,6 +1,6 @@
 """Exhaustively scan transfer matrices for negative minors.
 
-Runs the full minor enumeration for each dimension up to 13, reporting
+Runs the full minor enumeration for each dimension up to 15, reporting
 the number of minors checked and the smallest value seen (always zero
 here: plenty of minors vanish, none go negative). Then scans a matrix
 that is not totally nonnegative to show what a witness looks like.
@@ -14,7 +14,7 @@ from polytnn import ExactMatrix, is_totally_nonnegative, transfer_matrix
 def main():
     grand_total = 0
     start = time.monotonic()
-    for d in range(1, 14):
+    for d in range(1, 16):
         report = is_totally_nonnegative(transfer_matrix(d))
         grand_total += report.minors_checked
         print(f"dimension {d:2d}: {report.minors_checked:7d} minors, "

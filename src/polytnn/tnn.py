@@ -1,13 +1,12 @@
 """Exact total-nonnegativity certification by exhaustive minor enumeration.
 
 A matrix is totally nonnegative when every minor, of every order, is
-nonnegative. This module scales each row once by the lcm of its
-denominators, computes every minor exactly by integer Bareiss elimination
-divided by its rows' scales, enumerates all row/column subsets in
-lexicographic order, and reports either a clean bill or the
-lexicographically first negative minor as a concrete witness. The scan
-never stops early at a negative minor for the minimum bookkeeping, so the
-report is identical no matter how the work is split across processes.
+nonnegative. This module walks the lines of the longer side (the minors of
+the transpose are the same), scales each by the lcm of its denominators, and
+builds the minors on lines (r0,) + S, r0 < S[0], from those on S by integer
+Laplace expansion along line r0. It reports a clean bill or the
+lexicographically first negative minor as a witness. The scan never stops
+early, so the report is identical however the work is split across processes.
 """
 
 from __future__ import annotations
@@ -17,11 +16,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
+from .errors import BudgetExceededError
+
 Scalar = Union[int, Fraction]
+SCAN_BUDGET = 10**7  # most minors one scan checks; --d 17 has 3,124,549
 
 __all__ = [
     "ExactMatrix",
@@ -75,14 +78,16 @@ def as_matrix(m) -> ExactMatrix:
     return ExactMatrix(tuple(tuple(row) for row in entries))
 
 
-def _clear(entries) -> tuple[list[list[int]], list[int]]:
-    """Scale each row by the lcm of its denominators: (integer rows, scales)."""
+def _clear(mat: ExactMatrix) -> tuple[list[list[int]], list[int], bool]:
+    """(integer lines, scales, wide): the lines of the longer side (the columns
+    of a wide matrix), each scaled by the lcm of its denominators."""
+    wide = mat.cols > mat.rows
     ints, scales = [], []
-    for row in entries:
-        scale = lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (scale // x.denominator) for x in row])
+    for line in zip(*mat.entries) if wide else mat.entries:
+        scale = lcm(*(x.denominator for x in line))
+        ints.append([x.numerator * (scale // x.denominator) for x in line])
         scales.append(scale)
-    return ints, scales
+    return ints, scales, wide
 
 
 def _bareiss(rows: list[list[int]]) -> int:
@@ -108,26 +113,14 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def _row_minors(ints, scales, order: int, rows: Sequence[int]):
-    """Yield (cols, exact value) for every minor on rows, cols in order.
-
-    The minor is the scaled one divided by the rows' positive scales: an
-    int when their product is 1, else a Fraction.
-    """
-    scale = prod(scales[i] for i in rows)
-    sub = [ints[i] for i in rows]
-    for cols in combinations(range(len(ints[0])), order):
-        det = _bareiss([[r[j] for j in cols] for r in sub])
-        yield cols, det if scale == 1 else Fraction(det, scale)
-
-
 def determinant(m) -> Scalar:
     """Exact determinant of a square matrix."""
     mat = as_matrix(m)
     if mat.rows != mat.cols:
         raise ValueError(f"determinant needs a square matrix, got {mat.rows}x{mat.cols}")
-    [minor] = iter_minors(mat, mat.rows)
-    return minor.value
+    ints, scales, _ = _clear(mat)
+    det, scale = _bareiss(ints), prod(scales)
+    return det if scale == 1 else Fraction(det, scale)
 
 
 class MinorWitness(NamedTuple):
@@ -170,46 +163,83 @@ class TnnReport:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
+def _drops(short: int, order: int) -> list:
+    """(T, even terms, odd terms) per order-subset T of range(short), in lex order;
+    a term (c, q) pairs c in T with the lex rank q of T without c."""
+    rank = {t: i for i, t in enumerate(combinations(range(short), order - 1))}
+    subsets = list(combinations(range(short), order))
+    terms = [[(c, rank[t[:i] + t[i + 1:]]) for i, c in enumerate(t)] for t in subsets]
+    return [(t, ts[0::2], ts[1::2]) for t, ts in zip(subsets, terms)]
+
+
+def _minor(wide: bool, drop: list, lines: tuple, scale: int, table: list, i: int) -> MinorWitness:
+    """Entry i of the table on lines, divided by its scale, as a MinorWitness."""
+    short = drop[i][0]
+    value = table[i] if scale == 1 else Fraction(table[i], scale)
+    return MinorWitness(*((short, lines) if wide else (lines, short)), value)
+
+
+def _tables(ints, scales, wide: bool, max_order: int, tops):
+    """Yield (order, minor, table) per line set of size <= max_order, top line in tops.
+
+    table[i] is the set's scale times its minor on the i-th short-side subset (lex
+    order), and minor(i) is that minor. Depth first, so only the current path's tables are held."""
+    drops = [_drops(len(ints[0]), k) for k in range(1, max_order + 1)]
+    stack = [(top, (), 1, [1]) for top in tops]  # (r0, S, scale and table of S); det() = 1
+    while stack:
+        r0, lines, scale, table = stack.pop()
+        lines, scale, line, child = (r0,) + lines, scale * scales[r0], ints[r0], []
+        for _, even, odd in drops[len(lines) - 1]:  # Laplace expansion along line r0
+            acc = 0
+            for c, q in even:
+                acc += line[c] * table[q]
+            for c, q in odd:
+                acc -= line[c] * table[q]
+            child.append(acc)
+        yield len(lines), partial(_minor, wide, drops[len(lines) - 1], lines, scale, child), child
+        if len(lines) < max_order:
+            stack += [(r, lines, scale, child) for r in range(r0)]
+
+
 def iter_minors(m, order: int):
     """Yield MinorWitness for every order-by-order minor, lexicographically."""
     mat = as_matrix(m)
     if order < 1 or order > min(mat.rows, mat.cols):
-        raise ValueError(
-            f"minor order must be in 1..{min(mat.rows, mat.cols)}, got {order}"
-        )
-    ints, scales = _clear(mat.entries)
-    for rows in combinations(range(mat.rows), order):
-        for cols, value in _row_minors(ints, scales, order, rows):
-            yield MinorWitness(rows, cols, value)
+        raise ValueError(f"minor order must be in 1..{min(mat.rows, mat.cols)}, got {order}")
+    ints, scales, wide = _clear(mat)
+    tables = _tables(ints, scales, wide, order, range(len(ints)))
+    yield from sorted(minor(i) for k, minor, t in tables if k == order for i in range(len(t)))
 
 
-def _scan_rows(args) -> tuple:
-    """One worker task: fixed order and row set, all column subsets in order.
+def _fold(parts) -> tuple:
+    """Sum the counts, keep the least value and the least witness in (order, rows, cols)."""
+    total, least, first = 0, None, None
+    for count, low, w in parts:
+        total += count
+        least = low if least is None else min(least, low)
+        if w is not None and (first is None or (len(w.rows), w) < (len(first.rows), first)):
+            first = w
+    return total, least, first
 
-    Takes the arguments of _row_minors; returns (count, min value, the
-    first negative minor as (cols, value) or None).
-    """
-    count = 0
-    best: Optional[Scalar] = None
-    first_neg = None
-    for cols, val in _row_minors(*args):
-        count += 1
-        if best is None or val < best:
-            best = val
-        if val < 0 and first_neg is None:
-            first_neg = (cols, val)
-    return count, best, first_neg
+
+def _scan_top(args) -> tuple:
+    """One worker task: _fold the size, least minor and first negative minor of each
+    table; the first negative entry is its least in (order, rows, cols)."""
+    def parts():
+        for _, minor, table in _tables(*args):
+            low = min(table)
+            first = minor(next(i for i, v in enumerate(table) if v < 0)) if low < 0 else None
+            yield len(table), minor(table.index(low)).value, first
+    return _fold(parts())
 
 
 def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) -> TnnReport:
     """Scan all minors up to max_order (default: all orders) exactly.
 
-    The task list is the sequence of (order, row set) pairs in increasing
-    lexicographic order; results are folded in that same order, so the
-    report (including the witness, which is the lexicographically first
-    negative minor) does not depend on jobs. At most min(jobs, tasks, CPUs)
-    worker processes run, and none when that is 1.
-    """
+    More than SCAN_BUDGET minors raise BudgetExceededError up front. One task
+    per walked line, largest first; the report (witness: the lexicographically
+    first negative minor) does not depend on jobs. min(jobs, tasks, CPUs)
+    worker processes run, none when that is 1."""
     mat = as_matrix(m)
     limit = min(mat.rows, mat.cols)
     if max_order is None:
@@ -218,26 +248,16 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
         raise ValueError(f"max_order must be in 1..{limit}, got {max_order}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    ints, scales = _clear(mat.entries)
-    tasks = [
-        (ints, scales, order, rows)
-        for order in range(1, max_order + 1)
-        for rows in combinations(range(mat.rows), order)
-    ]
+    work = sum(comb(mat.rows, k) * comb(mat.cols, k) for k in range(1, max_order + 1))
+    if work > SCAN_BUDGET:
+        raise BudgetExceededError(f"the scan has {work} minors, over the budget of {SCAN_BUDGET}")
+    ints, scales, wide = _clear(mat)
+    tasks = [(ints, scales, wide, max_order, (top,)) for top in reversed(range(len(ints)))]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:
-        results = map(_scan_rows, tasks)
+        results = map(_scan_top, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_rows, tasks, chunksize=8))
-    total = 0
-    min_minor: Optional[Scalar] = None
-    witness: Optional[MinorWitness] = None
-    for task, (count, best, first_neg) in zip(tasks, results):
-        total += count
-        if best is not None and (min_minor is None or best < min_minor):
-            min_minor = best
-        if witness is None and first_neg is not None:
-            witness = MinorWitness(task[-1], *first_neg)
-    assert min_minor is not None
+        with ProcessPoolExecutor(max_workers=workers) as pool:  # a chunk pickles ints once
+            results = list(pool.map(_scan_top, tasks, chunksize=1 + len(tasks) // (16 * workers)))
+    total, min_minor, witness = _fold(results)
     return TnnReport(witness is None, total, min_minor, witness)

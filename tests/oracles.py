@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: Pascal recursion instead of the
 closed form, step-by-step path walking instead of reflection counting,
-cofactor expansion instead of elimination, a linear search for each
+cofactor expansion instead of elimination, one elimination per minor
+instead of building minors from smaller ones, a linear search for each
 binomial expansion term instead of bisection, subset counting instead of
 transform algebra. Agreement between these and the library is the point
 of most tests, so none of this may import shortcuts from the package.
@@ -11,7 +12,7 @@ of most tests, so none of this may import shortcuts from the package.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm, prod
 
 
 @lru_cache(maxsize=None)
@@ -75,6 +76,53 @@ def minor_scan(rows):
     minors = [m for k in range(1, min(len(rows), len(rows[0])) + 1) for m in all_minors(rows, k)]
     negative = [m for m in minors if m[2] < 0]
     return len(minors), min(m[2] for m in minors), negative[0] if negative else None
+
+
+def bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
+        prev = rows[k][k]
+    return sign * rows[n - 1][n - 1]
+
+
+def bareiss_scan(rows, max_order=None):
+    """(minors checked, least minor, first negative (rows, cols, value) or None).
+
+    The per-minor scan: each row is scaled to integers by the lcm of its
+    denominators, and each minor up to max_order is one Bareiss elimination
+    on its column subset, divided by its rows' scales (an int when that is
+    1). Minors are taken in (order, rows, cols) lexicographic order.
+    """
+    ints, scales = [], []
+    for row in rows:
+        scale = lcm(*(Fraction(x).denominator for x in row))
+        ints.append([int(Fraction(x) * scale) for x in row])
+        scales.append(scale)
+    count, least, first_neg = 0, None, None
+    for order in range(1, (max_order or min(len(rows), len(rows[0]))) + 1):
+        for r in combinations(range(len(rows)), order):
+            scale = prod(scales[i] for i in r)
+            for c in combinations(range(len(rows[0])), order):
+                det = bareiss_det([[ints[i][j] for j in c] for i in r])
+                value = det if scale == 1 else Fraction(det, scale)
+                count += 1
+                if least is None or value < least:
+                    least = value
+                if value < 0 and first_neg is None:
+                    first_neg = (r, c, value)
+    return count, least, first_neg
 
 
 def greedy_expansion(value: int, k: int) -> tuple:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import sysconfig
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,28 @@ class TestTnnCommand:
     def test_max_order(self):
         res = run_cli("tnn", "--file", "/dev/stdin", "--max-order", "1", input="1,2\n3,4\n")
         assert res.returncode == 0
+
+    def test_budget_refused_up_front(self, tmp_path):
+        f = tmp_path / "ones.csv"
+        f.write_text(("1," * 29 + "1\n") * 30)
+        res = run_cli("tnn", "--file", str(f), timeout=5)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert str(comb(60, 30) - 1) in res.stderr  # sum of C(30, k)^2 over k >= 1
+        res = run_cli("tnn", "--file", str(f), "--max-order", "2", timeout=5)
+        assert res.returncode == 0
+        assert "minors_checked: 190125" in res.stdout
+
+    def test_long_thin_parallel_finishes(self, tmp_path):
+        # one task per line of the long side: 20,000 tasks must not each
+        # pickle the whole matrix
+        line = ",".join(str(i % 7 + 1) for i in range(20000))
+        for name, text in (("wide.csv", line + "\n"), ("tall.csv", line.replace(",", "\n") + "\n")):
+            f = tmp_path / name
+            f.write_text(text)
+            res = run_cli("tnn", "--file", str(f), "--jobs", "2", timeout=10)
+            assert res.returncode == 0
+            assert res.stdout == "is_tnn: true\nminors_checked: 20000\nmin_minor: 1\n"
 
     def test_json_schema(self):
         res = run_cli("tnn", "--n", "5", "--format", "json")

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
 import polytnn.tnn as tnn
 from polytnn import (
+    BudgetExceededError,
     ExactMatrix,
     MinorWitness,
     TnnReport,
@@ -19,7 +21,26 @@ from polytnn import (
     strip_leading_column,
     transfer_matrix,
 )
-from oracles import all_minors, cofactor_det, minor_scan
+from oracles import all_minors, bareiss_scan, cofactor_det, minor_scan
+
+
+def expected_report(scan) -> TnnReport:
+    """The TnnReport for an oracle's (count, least, first negative or None)."""
+    count, least, first_neg = scan
+    witness = None if first_neg is None else MinorWitness(*first_neg)
+    return TnnReport(witness is None, count, least, witness)
+
+
+def shaped_matrices():
+    """Seeded tall, wide and square matrices up to 6x9 and 9x6, over small ints
+    and over p/q with a different denominator in each column."""
+    rng = random.Random(20261019)
+    mats = []
+    for r, c in [(1, 1), (1, 7), (7, 1), (2, 5), (5, 2), (3, 3), (4, 6), (6, 4), (5, 5), (6, 9), (9, 6)]:
+        mats.append(tuple(tuple(rng.randint(-2, 5) for _ in range(c)) for _ in range(r)))
+        dens = [rng.randint(1, 7) for _ in range(c)]
+        mats.append(tuple(tuple(Fraction(rng.randint(-2, 6), d) for d in dens) for _ in range(r)))
+    return mats
 
 
 def cross_check_matrices():
@@ -116,8 +137,6 @@ class TestIterMinors:
         assert all(m.value >= 0 for m in minors)
 
     def test_count_formula(self):
-        from math import comb
-
         w = path_matrix(6)
         for order in (1, 2, 3):
             count = sum(1 for _ in iter_minors(w, order))
@@ -191,6 +210,13 @@ class TestIsTotallyNonnegative:
         assert report
         assert report.min_minor == 0
 
+    def test_budget(self):
+        # --d 17 has 3,124,549 minors and runs; --d 19 has 20,030,009 and is refused
+        assert sum(comb(9, k) * comb(17, k) for k in range(1, 10)) <= tnn.SCAN_BUDGET
+        with pytest.raises(BudgetExceededError, match="20030009"):
+            is_totally_nonnegative(transfer_matrix(19))
+        assert is_totally_nonnegative(transfer_matrix(19), max_order=3)
+
     def test_bad_arguments(self):
         m = ExactMatrix(((1, 2), (3, 4)))
         with pytest.raises(ValueError):
@@ -202,13 +228,7 @@ class TestIsTotallyNonnegative:
 class TestAgainstCofactorOracle:
     def test_scan_matches_brute_force(self):
         for rows in cross_check_matrices():
-            count, least, first_neg = minor_scan(rows)
-            expected = TnnReport(
-                first_neg is None,
-                count,
-                least,
-                None if first_neg is None else MinorWitness(*first_neg),
-            )
+            expected = expected_report(minor_scan(rows))
             for jobs in (1, 2):
                 assert is_totally_nonnegative(ExactMatrix(rows), jobs=jobs) == expected, (rows, jobs)
 
@@ -222,6 +242,35 @@ class TestAgainstCofactorOracle:
         rows = ((Fraction(4, 2), 1), (3, Fraction(6, 3)))
         assert all(type(m.value) is int for k in (1, 2) for m in iter_minors(rows, k))
         assert type(determinant(rows)) is int
+
+
+class TestAgainstBareissScan:
+    def test_transfer_and_path_matrices(self):
+        mats = [transfer_matrix(d) for d in range(1, 12)] + [path_matrix(n) for n in range(2, 13)]
+        for m in mats:
+            expected = expected_report(bareiss_scan(m.entries))
+            for jobs in (1, 2, 3):
+                assert is_totally_nonnegative(m, jobs=jobs) == expected, (m, jobs)
+
+    def test_shaped_matrices_at_every_order(self):
+        for rows in shaped_matrices():
+            for order in range(1, min(len(rows), len(rows[0])) + 1):
+                expected = expected_report(bareiss_scan(rows, order))
+                for jobs in (1, 2, 3):
+                    got = is_totally_nonnegative(rows, max_order=order, jobs=jobs)
+                    assert got == expected, (rows, order, jobs)
+
+    def test_witness_orientation(self):
+        # wide, so its columns are walked: its negative entries (0, 1) and (1, 0)
+        # come first in (rows, cols) and in (cols, rows) order respectively
+        wide = ((0, -1, 1), (-1, 0, 1))
+        assert is_totally_nonnegative(wide).witness == MinorWitness((0,), (1,), -1)
+        assert is_totally_nonnegative(tuple(zip(*wide))).witness == MinorWitness((0,), (1,), -1)
+        # one negative minor: the transpose's witness is the transposed witness
+        w = is_totally_nonnegative(((1, 2, 1), (1, 3, 1))).witness
+        assert w == MinorWitness((0, 1), (1, 2), -1)
+        tall = ((1, 1), (2, 3), (1, 1))
+        assert is_totally_nonnegative(tall).witness == MinorWitness(w.cols, w.rows, w.value)
 
 
 class TestWorkerCount:
@@ -244,19 +293,21 @@ class TestWorkerCount:
                 return map(fn, items)
 
         monkeypatch.setattr(tnn, "ProcessPoolExecutor", InlinePool)
-        m = ExactMatrix(((1, 2), (3, 4)))  # three tasks: two rows of order 1, one of order 2
+        m = ExactMatrix(((1, 2), (3, 4)))  # two tasks, one per top row
         serial = is_totally_nonnegative(m)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         assert is_totally_nonnegative(m, jobs=10**9) == serial
-        assert created == [3]
+        assert created == [2]
+        wide = ExactMatrix(((1, 2, -1), (3, 4, 0)))  # three tasks, one per top column
+        wide_serial = is_totally_nonnegative(wide)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
-        assert is_totally_nonnegative(m, jobs=10**9) == serial
-        assert created == [3, 2]
+        assert is_totally_nonnegative(wide, jobs=10**9) == wide_serial
+        assert created == [2, 2]
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: None)
         assert is_totally_nonnegative(m, jobs=8) == serial
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         assert is_totally_nonnegative(ExactMatrix(((5,),)), jobs=8)
-        assert created == [3, 2]
+        assert created == [2, 2]
 
 
 class TestLgvCrossCheck:
