@@ -20,7 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import CrossCheckError
-from .lgv import export_dot, graph_json_obj, lattice_graph, minor_via_lgv
+from .lgv import check_minor, export_dot, graph_json_obj, lattice_graph, minor_via_lgv
 from .macaulay import is_m_sequence, oracle_is_m_sequence
 from .polyvec import FVector, GVector, euler_check, f_to_g, g_to_f, is_polytopal
 from .tnn import as_matrix, determinant, is_totally_nonnegative
@@ -178,14 +178,17 @@ def cmd_msequence(args) -> int:
 
 
 def cmd_lgv(args) -> int:
+    verify = args.verify and args.dot is None
+    if verify and args.n >= 2:  # check the minor before the O(n^2) graph; n < 2 fails there first
+        if args.rows is None or args.cols is None:
+            raise UsageError("--verify requires --rows and --cols")
+        check_minor(args.n, args.rows, args.cols)
     graph = lattice_graph(args.n)
     if args.dot is not None:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(graph))
         return 0
-    if args.verify:
-        if args.rows is None or args.cols is None:
-            raise UsageError("--verify requires --rows and --cols")
+    if verify:
         total = minor_via_lgv(graph, args.rows, args.cols)
         w = path_matrix(args.n)
         sub = as_matrix(w).submatrix(args.rows, args.cols)

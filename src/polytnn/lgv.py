@@ -12,20 +12,26 @@ weights from source i to sink j equals the path-matrix entry of module
 transfer, and a minor of that matrix on rows I and columns J equals the
 total weight of all families of pairwise vertex-disjoint paths joining
 source I_t to sink J_t. Since every arc weight is positive, that sum is
-visibly nonnegative, which is the whole certificate: enumerating the
-families proves the minor nonnegative without computing a determinant.
+visibly nonnegative, which is the whole certificate: the families prove
+the minor nonnegative without computing a determinant.
+
+A path from source i to sink j climbs heights i..j-1 once each, so its
+weight telescopes to C(n,j)/C(n,i) whatever its route. Every family on
+rows I and columns J therefore weighs prod C(n,J) / prod C(n,I), and the
+minor is that constant times the number of families, which an integer
+sweep over the anti-diagonals counts without listing them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
+from math import prod
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError, CrossCheckError
-from .exactnum import binomial  # noqa: F401 -- lgv.binomial is counted by bench/tracing.py
+from .exactnum import binomial
 from .transfer import path_weight_closed_form
 
 __all__ = [
@@ -36,7 +42,7 @@ __all__ = [
     "vertical_weight",
     "path_weight_sum",
     "path_weight_closed_form",
-    "path_weight",
+    "check_minor",
     "nonintersecting_families",
     "minor_via_lgv",
     "export_dot",
@@ -106,51 +112,37 @@ def lattice_graph(n: int) -> LatticeGraph:
     return LatticeGraph(n, frozenset(vertices), tuple(arcs))
 
 
-def _check_indices(g: LatticeGraph, i: int, j: int) -> None:
-    if not 0 <= i <= g.corner:
-        raise ValueError(f"source index out of range: i = {i}, valid 0..{g.corner}")
-    if not 0 <= j <= g.n - 1:
-        raise ValueError(f"sink index out of range: j = {j}, valid 0..{g.n - 1}")
+def _check_indices(n: int, i: int, j: int) -> None:
+    corner = (n + 1) // 2 - 1
+    if not 0 <= i <= corner:
+        raise ValueError(f"source index out of range: i = {i}, valid 0..{corner}")
+    if not 0 <= j <= n - 1:
+        raise ValueError(f"sink index out of range: j = {j}, valid 0..{n - 1}")
 
 
-def path_weight_sum(g: LatticeGraph, i: int, j: int) -> Fraction:
+def path_weight_sum(g: LatticeGraph, i: int, j: int) -> int:
     """Exact total weight of all paths from source i to sink j.
 
-    Dynamic programming in the fixed topological order (x+y ascending,
-    then x ascending). The result is always an integer despite the
-    fractional arc weights; that is checked, not assumed.
+    Every such path climbs heights i..j-1 once, so its weight is
+    C(n,j)/C(n,i) whatever its route: the sum is the number of paths (an
+    integer dynamic program over the vertex set) times that ratio. The
+    result is always an integer; that is checked, not assumed.
     """
-    _check_indices(g, i, j)
-    src = g.sources[i]
-    dst = g.sinks[j]
-    out = {}
-    for a in g.arcs:
-        out.setdefault(a.tail, []).append(a)
-    acc = {src: Fraction(1)}
-    for v in sorted(g.vertices, key=lambda p: (p[0] + p[1], p[0])):
-        w = acc.get(v)
-        if w is None:
-            continue
-        for a in out.get(v, ()):
-            acc[a.head] = acc.get(a.head, Fraction(0)) + w * a.weight
-    total = acc.get(dst, Fraction(0))
-    if total.denominator != 1:
+    _check_indices(g.n, i, j)
+    (x0, y0), (x1, y1) = g.sources[i], g.sinks[j]
+    count = {(x0, y0): 1}
+    for x in range(x0, x1 + 1):
+        for y in range(y0, y1 + 1):
+            if (x, y) in g.vertices and (x, y) != (x0, y0):
+                count[x, y] = count.get((x - 1, y), 0) + count.get((x, y - 1), 0)
+    num, den = count.get((x1, y1), 0) * binomial(g.n, j), binomial(g.n, i)
+    if num % den:
         raise CrossCheckError(
-            f"path weight sum for n={g.n}, i={i}, j={j} is not an integer: {total}"
+            f"path weight sum for n={g.n}, i={i}, j={j} is not an integer: {Fraction(num, den)}"
         )
-    return total
+    return num // den
 
 
-def path_weight(g: LatticeGraph, path: Sequence[Vertex]) -> Fraction:
-    """Product of arc weights along a path (vertical steps carry w_y)."""
-    w = Fraction(1)
-    for (x1, y1), (x2, y2) in zip(path, path[1:]):
-        if x2 == x1:
-            w *= vertical_weight(g.n, y1)
-    return w
-
-
-@lru_cache(maxsize=None)
 def _paths(g: LatticeGraph, src: Vertex, dst: Vertex) -> tuple[tuple[Vertex, ...], ...]:
     """All monotone paths src -> dst inside the vertex set, as vertex tuples."""
     if src not in g.vertices or dst not in g.vertices:
@@ -182,6 +174,34 @@ class PathFamily:
     weight: Fraction
 
 
+def check_minor(n: int, rows: Sequence[int], cols: Sequence[int]) -> None:
+    """Raise ValueError for a malformed minor, then BudgetExceededError past
+    the family budget. Needs only n, so a caller can check before it builds
+    the graph of order n."""
+    if len(rows) != len(cols):
+        raise ValueError("rows and cols must have the same length")
+    if not rows:
+        raise ValueError("rows and cols must be nonempty")
+    if any(b <= a for a, b in zip(rows, rows[1:])) or any(
+        b <= a for a, b in zip(cols, cols[1:])
+    ):
+        raise ValueError("rows and cols must be strictly increasing")
+    for i in rows:
+        _check_indices(n, i, 0)
+    for j in cols:
+        _check_indices(n, 0, j)
+    if len(rows) > FAMILY_MAX_ORDER or n > FAMILY_MAX_N:
+        raise BudgetExceededError(
+            f"family enumeration budget is order <= {FAMILY_MAX_ORDER} and n <= {FAMILY_MAX_N}; "
+            f"got order {len(rows)}, n {n}"
+        )
+
+
+def _family_weight(n: int, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
+    """The weight every family on (rows, cols) has: prod C(n,J) / prod C(n,I)."""
+    return Fraction(prod(binomial(n, j) for j in cols), prod(binomial(n, i) for i in rows))
+
+
 def nonintersecting_families(
     g: LatticeGraph, rows: Sequence[int], cols: Sequence[int]
 ) -> list[PathFamily]:
@@ -195,47 +215,26 @@ def nonintersecting_families(
     """
     rows = list(rows)
     cols = list(cols)
-    if len(rows) != len(cols):
-        raise ValueError("rows and cols must have the same length")
-    if not rows:
-        raise ValueError("rows and cols must be nonempty")
-    if any(b <= a for a, b in zip(rows, rows[1:])) or any(
-        b <= a for a, b in zip(cols, cols[1:])
-    ):
-        raise ValueError("rows and cols must be strictly increasing")
-    for i in rows:
-        _check_indices(g, i, 0)
-    for j in cols:
-        _check_indices(g, 0, j)
+    check_minor(g.n, rows, cols)
     k = len(rows)
-    if k > FAMILY_MAX_ORDER or g.n > FAMILY_MAX_N:
-        raise BudgetExceededError(
-            f"family enumeration budget is order <= {FAMILY_MAX_ORDER} and n <= {FAMILY_MAX_N}; "
-            f"got order {k}, n {g.n}"
-        )
-    sources = [g.sources[i] for i in rows]
-    sinks = [g.sinks[j] for j in cols]
+    weight = _family_weight(g.n, rows, cols)
+    plists = [[_paths(g, g.sources[i], g.sinks[j]) for j in cols] for i in rows]
+    psets = [[[frozenset(p) for p in pl] for pl in row] for row in plists]
 
     identity: list[PathFamily] = []
     for perm in permutations(range(k)):
-        plists = [_paths(g, sources[t], sinks[perm[t]]) for t in range(k)]
-        psets = [[frozenset(p) for p in pl] for pl in plists]
         is_identity = perm == tuple(range(k))
 
         def extend(t: int, used: frozenset, acc: list) -> None:
             if t == k:
                 if is_identity:
-                    fam = tuple(acc)
-                    w = Fraction(1)
-                    for p in fam:
-                        w *= path_weight(g, p)
-                    identity.append(PathFamily(fam, w))
+                    identity.append(PathFamily(tuple(acc), weight))
                     return
                 raise CrossCheckError(
                     f"disjoint path family under non-identity pairing {perm} "
                     f"(n={g.n}, rows={rows}, cols={cols})"
                 )
-            for p, s in zip(plists[t], psets[t]):
+            for p, s in zip(plists[t][perm[t]], psets[t][perm[t]]):
                 if not (s & used):
                     acc.append(p)
                     extend(t + 1, used | s, acc)
@@ -245,16 +244,50 @@ def nonintersecting_families(
     return identity
 
 
+def _count_families(g: LatticeGraph, rows: Sequence[int], cols: Sequence[int]) -> int:
+    """Number of vertex-disjoint families joining source rows[t] to sink cols[t].
+
+    A sweep over the anti-diagonals x + y = s, never listing a family. A
+    state is the x-positions of the live paths on diagonal s, strictly
+    decreasing (path 0 first), with the number of ways to reach it. Every
+    path meets each diagonal once, so disjoint paths are distinct heads on
+    every diagonal. Sources lie on s = c; sink j is (c, j), on s = c + j,
+    where path t must sit at x = c and is retired.
+    """
+    c, k = g.corner, len(rows)
+    states = {tuple(c - i for i in rows): 1}
+    retired, s = 0, c
+    while True:
+        while retired < k and s == c + cols[retired]:
+            states = {xs[1:]: m for xs, m in states.items() if xs[0] == c}
+            retired += 1
+        if retired == k or not states:
+            return states.get((), 0)
+        s += 1
+        moved: dict[tuple[int, ...], int] = {}
+        for xs, m in states.items():
+            steps = [[x2 for x2 in (x, x + 1) if (x2, s - x2) in g.vertices] for x in xs]
+            for heads in product(*steps):
+                if all(a > b for a, b in zip(heads, heads[1:])):
+                    moved[heads] = moved.get(heads, 0) + m
+                elif len(set(heads)) == len(heads):
+                    raise CrossCheckError(
+                        f"disjoint paths out of order on x+y={s} "
+                        f"(n={g.n}, rows={rows}, cols={cols})"
+                    )
+        states = moved
+
+
 def minor_via_lgv(g: LatticeGraph, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
     """Minor of the path-weight matrix as a sum of disjoint-family weights.
 
     Equals the determinant of the corresponding submatrix of the path
     matrix, and is nonnegative term by term since arc weights are positive.
+    Every family has the same weight, so the sum is their number times it.
     """
-    total = Fraction(0)
-    for fam in nonintersecting_families(g, rows, cols):
-        total += fam.weight
-    return total
+    rows, cols = list(rows), list(cols)
+    check_minor(g.n, rows, cols)
+    return _count_families(g, rows, cols) * _family_weight(g.n, rows, cols)
 
 
 def export_dot(g: LatticeGraph) -> str:

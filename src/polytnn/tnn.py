@@ -239,7 +239,7 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
     More than SCAN_BUDGET minors raise BudgetExceededError up front. One task
     per walked line, largest first; the report (witness: the lexicographically
     first negative minor) does not depend on jobs. min(jobs, tasks, CPUs)
-    worker processes run, none when that is 1."""
+    worker processes run; when that is 1, one walk covers every line."""
     mat = as_matrix(m)
     limit = min(mat.rows, mat.cols)
     if max_order is None:
@@ -255,7 +255,7 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
     tasks = [(ints, scales, wide, max_order, (top,)) for top in reversed(range(len(ints)))]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:
-        results = map(_scan_top, tasks)
+        results = [_scan_top((ints, scales, wide, max_order, range(len(ints))))]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:  # a chunk pickles ints once
             results = list(pool.map(_scan_top, tasks, chunksize=1 + len(tasks) // (16 * workers)))

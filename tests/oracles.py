@@ -3,10 +3,12 @@
 Everything here is deliberately naive: Pascal recursion instead of the
 closed form, step-by-step path walking instead of reflection counting,
 cofactor expansion instead of elimination, one elimination per minor
-instead of building minors from smaller ones, a linear search for each
-binomial expansion term instead of bisection, subset counting instead of
-transform algebra. Agreement between these and the library is the point
-of most tests, so none of this may import shortcuts from the package.
+instead of building minors from smaller ones, Fraction arc weights
+multiplied along the lattice instead of counting paths, a linear search
+for each binomial expansion term instead of bisection, subset counting
+instead of transform algebra. Agreement between these and the library is
+the point of most tests, so none of this may import shortcuts from the
+package.
 """
 
 from fractions import Fraction
@@ -200,3 +202,19 @@ def monotone_paths(vertices, src, dst):
 
     walk(src, [src])
     return out
+
+
+def fraction_path_weight_sums(g, i) -> list:
+    """Total Fraction arc weight of all paths from source i of lattice graph g
+    to each sink, by dynamic programming in the order x+y ascending, then x."""
+    out = {}
+    for a in g.arcs:
+        out.setdefault(a.tail, []).append(a)
+    acc = {g.sources[i]: Fraction(1)}
+    for v in sorted(g.vertices, key=lambda p: (p[0] + p[1], p[0])):
+        w = acc.get(v)
+        if w is None:
+            continue
+        for a in out.get(v, ()):
+            acc[a.head] = acc.get(a.head, Fraction(0)) + w * a.weight
+    return [acc.get(dst, Fraction(0)) for dst in g.sinks]

@@ -282,6 +282,14 @@ class TestLgvCommand:
         assert res.returncode == 1
         assert "budget" in res.stderr
 
+    def test_budget_refused_before_graph(self):
+        # the order-100000 graph would take minutes and gigabytes to build
+        res = run_cli("lgv", "--n", "100000", "--verify", "--rows", "0", "--cols", "0", timeout=5)
+        assert res.returncode == 1
+        assert res.stderr == (
+            "error: family enumeration budget is order <= 3 and n <= 10; got order 1, n 100000\n"
+        )
+
     def test_json_graph(self):
         res = run_cli("lgv", "--n", "4", "--format", "json")
         obj = json.loads(res.stdout)

@@ -1,10 +1,13 @@
 import json
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
 from polytnn import (
     BudgetExceededError,
+    CrossCheckError,
     ballot_paths,
     binomial,
     determinant,
@@ -18,9 +21,9 @@ from polytnn import (
     path_weight_sum,
     vertical_weight,
 )
-from polytnn.lgv import _paths
-from polytnn.tnn import as_matrix
-from oracles import monotone_paths, region_vertices
+from polytnn.lgv import _count_families, _paths
+from polytnn.tnn import as_matrix, iter_minors
+from oracles import fraction_path_weight_sums, monotone_paths, region_vertices
 
 T2_DOT = (
     "digraph lattice2 {\n"
@@ -124,6 +127,26 @@ class TestPathWeights:
             path_weight_sum(g, 3, 0)
         with pytest.raises(ValueError):
             path_weight_sum(g, 0, 6)
+
+    def test_every_path_weight_telescopes(self):
+        # each path climbs heights i..j-1 once: its arc-weight product is C(n,j)/C(n,i)
+        for n in range(2, 13):
+            g = lattice_graph(n)
+            weight = {(a.tail, a.head): a.weight for a in g.arcs}
+            for i in range((n + 1) // 2):
+                for j in range(i, n):
+                    for path in monotone_paths(set(g.vertices), g.sources[i], g.sinks[j]):
+                        w = prod((weight[a, b] for a, b in zip(path, path[1:])), start=Fraction(1))
+                        assert w == Fraction(binomial(n, j), binomial(n, i)), (n, path)
+
+    def test_matches_fraction_weight_oracle(self):
+        for n in range(2, 31):
+            g = lattice_graph(n)
+            for i in range((n + 1) // 2):
+                for j, want in enumerate(fraction_path_weight_sums(g, i)):
+                    total = path_weight_sum(g, i, j)
+                    assert type(total) is int
+                    assert total == want == path_weight_closed_form(n, i, j), (n, i, j)
 
 
 class TestPathCounts:
@@ -230,6 +253,41 @@ class TestFamilies:
             nonintersecting_families(g, [], [])
         with pytest.raises(ValueError):
             nonintersecting_families(g, [0], [9])
+
+
+class TestFamilyCount:
+    def test_matches_listing(self):
+        for n in range(2, 11):
+            g = lattice_graph(n)
+            height = (n + 1) // 2
+            for order in range(1, min(3, height) + 1):
+                for rows in combinations(range(height), order):
+                    for cols in combinations(range(n), order):
+                        fams = nonintersecting_families(g, rows, cols)
+                        assert _count_families(g, rows, cols) == len(fams), (n, rows, cols)
+
+    def test_every_minor_past_the_listing_budget(self):
+        # count * prod C(n,J) == det * prod C(n,I), at every order
+        for n in range(2, 12):
+            g = lattice_graph(n)
+            for order in range(1, (n + 1) // 2 + 1):
+                for w in iter_minors(path_matrix(n), order):
+                    count = _count_families(g, w.rows, w.cols)
+                    lhs = count * prod(binomial(n, j) for j in w.cols)
+                    assert lhs == w.value * prod(binomial(n, i) for i in w.rows), (n, w)
+
+    def test_paths_out_of_order_are_a_cross_check_failure(self):
+        # sources listed bottom-up would have to cross: the sweep must say so
+        with pytest.raises(CrossCheckError):
+            _count_families(lattice_graph(6), [1, 0], [3, 4])
+
+    def test_counting_keeps_the_listing_budget(self):
+        for n, rows in ((8, [0, 1, 2, 3]), (11, [0])):
+            with pytest.raises(BudgetExceededError) as listed:
+                nonintersecting_families(lattice_graph(n), rows, rows)
+            with pytest.raises(BudgetExceededError) as counted:
+                minor_via_lgv(lattice_graph(n), rows, rows)
+            assert str(counted.value) == str(listed.value)
 
 
 class TestExport:
