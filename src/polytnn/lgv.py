@@ -49,9 +49,12 @@ __all__ = [
     "graph_json_obj",
     "FAMILY_MAX_ORDER",
     "FAMILY_MAX_N",
+    "GRAPH_BUDGET",
 ]
 
 Vertex = tuple[int, int]
+
+GRAPH_BUDGET = 25_000  # most vertices lattice_graph builds; n = 315 has 24,964
 
 # family enumeration is exponential in principle; these bounds keep every
 # in-contract call comfortably fast and anything bigger errors out
@@ -92,10 +95,22 @@ class LatticeGraph:
         return tuple((c, j) for j in range(self.n))
 
 
+def _vertex_count(n: int) -> int:
+    """Vertices of the graph of order n: column x = 0..c holds heights
+    c-x..x+floor(n/2), 2x + floor(n/2) - c + 1 of them, which sum to this."""
+    return ((n + 1) // 2) * (n // 2 + 1)
+
+
 def lattice_graph(n: int) -> LatticeGraph:
-    """Build the weighted lattice graph of order n >= 2."""
+    """Build the weighted lattice graph of order n >= 2, refusing more than
+    GRAPH_BUDGET vertices with BudgetExceededError before it builds any."""
     if n < 2:
         raise ValueError(f"lattice_graph: n must be >= 2, got {n}")
+    if _vertex_count(n) > GRAPH_BUDGET:
+        raise BudgetExceededError(
+            f"the lattice graph of order {n} has {_vertex_count(n)} vertices, "
+            f"over the budget of {GRAPH_BUDGET}"
+        )
     c = (n + 1) // 2 - 1
     diag = n // 2
     vertices = set()

@@ -189,11 +189,12 @@ def oracle_is_m_sequence(seq: Sequence[int], max_vars: int) -> bool:
     degree), so the search is deterministic. A variable occurring anywhere
     must itself appear in degree 1, so the effective variable count is
     min(max_vars, n_1); passing a larger max_vars does not change the
-    answer. Any sequence with entry sum at most ORACLE_BUDGET is accepted;
-    beyond that the oracle still runs when an upper bound on the number of
-    candidate sets stays small (for instance when every degree takes all
-    monomials, a single candidate each), and raises BudgetExceededError
-    otherwise. It never returns a wrong answer.
+    answer. A zero count followed by a nonzero one is rejected before any
+    search, by division closure. Any sequence with entry sum at most
+    ORACLE_BUDGET is accepted; beyond that the oracle still runs when an
+    upper bound on the number of candidate sets stays small (for instance
+    when every degree takes all monomials, a single candidate each), and
+    raises BudgetExceededError otherwise. It never returns a wrong answer.
     """
     seq = list(seq)
     if not seq:
@@ -209,6 +210,10 @@ def oracle_is_m_sequence(seq: Sequence[int], max_vars: int) -> bool:
         return False
     if len(seq) == 1:
         return True
+    # every monomial of degree k+1 has a divisor of degree k, so a multicomplex
+    # with no monomial of degree k has none of any higher degree either
+    if 0 in seq and any(seq[seq.index(0):]):
+        return False
     v = min(max_vars, seq[1])
     if sum(seq) > ORACLE_BUDGET and _work_bound(seq, v) > ORACLE_WORK_CAP:
         raise BudgetExceededError(

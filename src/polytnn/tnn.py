@@ -16,8 +16,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, islice
 from math import comb, lcm, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -163,42 +163,49 @@ class TnnReport:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
-def _drops(short: int, order: int) -> list:
-    """(T, even terms, odd terms) per order-subset T of range(short), in lex order;
-    a term (c, q) pairs c in T with the lex rank q of T without c."""
-    rank = {t: i for i, t in enumerate(combinations(range(short), order - 1))}
-    subsets = list(combinations(range(short), order))
-    terms = [[(c, rank[t[:i] + t[i + 1:]]) for i, c in enumerate(t)] for t in subsets]
-    return [(t, ts[0::2], ts[1::2]) for t, ts in zip(subsets, terms)]
+@lru_cache(maxsize=64)  # a scan in SCAN_BUDGET has at most 12 orders: C(26, 13) > 10**7
+def _expander(short: int, order: int):
+    """expand(line, table) -> the table on lines (r0,) + S, from line r0 and the table
+    on S, both indexed by the short side: one straight-line Laplace expansion per
+    order-subset T of range(short), in lex order, with the term l[c]*t[q] signed by the
+    position of c in T and q the lex rank of T without c. The source holds only these
+    indices, order * C(short, order) terms, no more than the scan's minor count."""
+    rank = {s: i for i, s in enumerate(combinations(range(short), order - 1))}
+    entries = []
+    for t in combinations(range(short), order):
+        terms = [f"l{c}*t{rank[t[:i] + t[i + 1:]]}" for i, c in enumerate(t)]
+        entries.append(terms[0] + "".join("+-"[i % 2] + x for i, x in enumerate(terms[1:], 1)))
+    source = (
+        "def expand(l, t):\n"
+        f"    {''.join(f'l{c}, ' for c in range(short))}= l\n"
+        f"    {''.join(f't{q}, ' for q in range(len(rank)))}= t\n"
+        f"    return [{', '.join(entries)}]\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<tnn expander short={short} order={order}>", "exec"), namespace)
+    return namespace["expand"]
 
 
-def _minor(wide: bool, drop: list, lines: tuple, scale: int, table: list, i: int) -> MinorWitness:
-    """Entry i of the table on lines, divided by its scale, as a MinorWitness."""
-    short = drop[i][0]
-    value = table[i] if scale == 1 else Fraction(table[i], scale)
-    return MinorWitness(*((short, lines) if wide else (lines, short)), value)
+def _minor(wide: bool, lines: tuple, subset: tuple, scale: int, value: int) -> MinorWitness:
+    """The minor on lines and a subset of the short side, whose table entry is value."""
+    value = value if scale == 1 else Fraction(value, scale)
+    return MinorWitness(*((subset, lines) if wide else (lines, subset)), value)
 
 
-def _tables(ints, scales, wide: bool, max_order: int, tops):
-    """Yield (order, minor, table) per line set of size <= max_order, top line in tops.
+def _tables(ints, scales, max_order: int, tops):
+    """Yield (lines, scale, table) per line set of size <= max_order, top line in tops.
 
     table[i] is the set's scale times its minor on the i-th short-side subset (lex
-    order), and minor(i) is that minor. Depth first, so only the current path's tables are held."""
-    drops = [_drops(len(ints[0]), k) for k in range(1, max_order + 1)]
+    order). Depth first, so only the current path's tables are held."""
+    expand = [_expander(len(ints[0]), k) for k in range(1, max_order + 1)]
     stack = [(top, (), 1, [1]) for top in tops]  # (r0, S, scale and table of S); det() = 1
     while stack:
         r0, lines, scale, table = stack.pop()
-        lines, scale, line, child = (r0,) + lines, scale * scales[r0], ints[r0], []
-        for _, even, odd in drops[len(lines) - 1]:  # Laplace expansion along line r0
-            acc = 0
-            for c, q in even:
-                acc += line[c] * table[q]
-            for c, q in odd:
-                acc -= line[c] * table[q]
-            child.append(acc)
-        yield len(lines), partial(_minor, wide, drops[len(lines) - 1], lines, scale, child), child
+        lines, scale = (r0,) + lines, scale * scales[r0]
+        table = expand[len(lines) - 1](ints[r0], table)
+        yield lines, scale, table
         if len(lines) < max_order:
-            stack += [(r, lines, scale, child) for r in range(r0)]
+            stack += [(r, lines, scale, table) for r in range(r0)]
 
 
 def iter_minors(m, order: int):
@@ -207,8 +214,13 @@ def iter_minors(m, order: int):
     if order < 1 or order > min(mat.rows, mat.cols):
         raise ValueError(f"minor order must be in 1..{min(mat.rows, mat.cols)}, got {order}")
     ints, scales, wide = _clear(mat)
-    tables = _tables(ints, scales, wide, order, range(len(ints)))
-    yield from sorted(minor(i) for k, minor, t in tables if k == order for i in range(len(t)))
+    subsets = list(combinations(range(len(ints[0])), order))
+    tables = _tables(ints, scales, order, range(len(ints)))
+    yield from sorted(
+        _minor(wide, lines, t, scale, v)
+        for lines, scale, table in tables if len(lines) == order
+        for t, v in zip(subsets, table)
+    )
 
 
 def _fold(parts) -> tuple:
@@ -223,14 +235,27 @@ def _fold(parts) -> tuple:
 
 
 def _scan_top(args) -> tuple:
-    """One worker task: _fold the size, least minor and first negative minor of each
-    table; the first negative entry is its least in (order, rows, cols)."""
-    def parts():
-        for _, minor, table in _tables(*args):
-            low = min(table)
-            first = minor(next(i for i, v in enumerate(table) if v < 0)) if low < 0 else None
-            yield len(table), minor(table.index(low)).value, first
-    return _fold(parts())
+    """One worker task: the minor count, least minor and first negative minor in
+    (order, rows, cols) over its tables. Values stay integers over their scales,
+    compared by cross-multiplying, until the two that are reported."""
+    ints, scales, wide, max_order, tops = args
+    count, least, least_scale, first = 0, None, 1, None  # first: (key, lines, scale, i, value)
+    for lines, scale, table in _tables(ints, scales, max_order, tops):
+        count += len(table)
+        low = min(table)
+        if least is None or low * least_scale < least * scale:
+            least, least_scale = low, scale
+        if low < 0 and (first is None or len(lines) <= first[0][0]):  # a lower order wins
+            i = next(i for i, v in enumerate(table) if v < 0)
+            key = (len(lines), i, lines) if wide else (len(lines), lines, i)
+            if first is None or key < first[0]:
+                first = key, lines, scale, i, table[i]
+    witness = None
+    if first is not None:
+        _, lines, scale, i, value = first
+        subset = next(islice(combinations(range(len(ints[0])), len(lines)), i, None))
+        witness = _minor(wide, lines, subset, scale, value)
+    return count, least if least_scale == 1 else Fraction(least, least_scale), witness
 
 
 def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) -> TnnReport:
@@ -252,6 +277,8 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
     if work > SCAN_BUDGET:
         raise BudgetExceededError(f"the scan has {work} minors, over the budget of {SCAN_BUDGET}")
     ints, scales, wide = _clear(mat)
+    for k in range(1, max_order + 1):  # cached before the pool forks, so its workers inherit them
+        _expander(len(ints[0]), k)
     tasks = [(ints, scales, wide, max_order, (top,)) for top in reversed(range(len(ints)))]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:

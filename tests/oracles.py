@@ -3,7 +3,8 @@
 Everything here is deliberately naive: Pascal recursion instead of the
 closed form, step-by-step path walking instead of reflection counting,
 cofactor expansion instead of elimination, one elimination per minor
-instead of building minors from smaller ones, Fraction arc weights
+instead of building minors from smaller ones, a loop over the Laplace
+terms instead of generated straight-line code, Fraction arc weights
 multiplied along the lattice instead of counting paths, a linear search
 for each binomial expansion term instead of bisection, subset counting
 instead of transform algebra. Agreement between these and the library is
@@ -125,6 +126,20 @@ def bareiss_scan(rows, max_order=None):
                 if value < 0 and first_neg is None:
                     first_neg = (r, c, value)
     return count, least, first_neg
+
+
+def loop_expand(line, table, order: int) -> list:
+    """The table on lines (r0,) + S from line r0 and the table on S, by a loop:
+    per order-subset T of the short side (lex order), the sum over the i-th
+    element c of T of (-1)**i * line[c] * table[lex rank of T without c]."""
+    rank = {t: q for q, t in enumerate(combinations(range(len(line)), order - 1))}
+    out = []
+    for t in combinations(range(len(line)), order):
+        acc = 0
+        for i, c in enumerate(t):
+            acc += (-1) ** i * line[c] * table[rank[t[:i] + t[i + 1:]]]
+        out.append(acc)
+    return out
 
 
 def greedy_expansion(value: int, k: int) -> tuple:

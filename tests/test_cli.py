@@ -231,6 +231,13 @@ class TestMsequenceCommand:
         assert res.returncode == 0
         assert res.stdout == "true\n"
 
+    def test_oracle_zero_gap_finishes(self):
+        # 1,7,5,0,1 took 44 s and 1,6,4,0,1 2 s before the division-closure prune
+        for seq in ("1,7,5,0,1", "1,6,4,0,1"):
+            res = run_cli("msequence", "--seq", seq, "--oracle", timeout=5)
+            assert res.returncode == 0
+            assert res.stdout == "false, k=4, boundary=1, bound=0\n"
+
     def test_oracle_budget_exceeded(self):
         res = run_cli("msequence", "--seq", "1,5,12,22", "--oracle")
         assert res.returncode == 1
@@ -289,6 +296,18 @@ class TestLgvCommand:
         assert res.stderr == (
             "error: family enumeration budget is order <= 3 and n <= 10; got order 1, n 100000\n"
         )
+
+    def test_graph_budget_refused_up_front(self, tmp_path):
+        # about 2.5e9 vertices: building them would exhaust memory
+        for extra in ([], ["--format", "json"], ["--format", "dot"], ["--dot", str(tmp_path / "g.dot")]):
+            res = run_cli("lgv", "--n", "100000", *extra, timeout=5)
+            assert res.returncode == 1
+            assert res.stderr == (
+                "error: the lattice graph of order 100000 has 2500050000 vertices, "
+                "over the budget of 25000\n"
+            )
+            assert res.stdout == ""
+        assert not (tmp_path / "g.dot").exists()
 
     def test_json_graph(self):
         res = run_cli("lgv", "--n", "4", "--format", "json")

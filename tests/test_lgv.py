@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+import polytnn.lgv as lgv
 from polytnn import (
     BudgetExceededError,
     CrossCheckError,
@@ -78,6 +79,19 @@ class TestGraphShape:
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
+            lattice_graph(1)
+
+    def test_vertex_count_formula(self):
+        for n in range(2, 41):
+            assert lgv._vertex_count(n) == len(region_vertices(n)), n
+        assert lgv._vertex_count(315) <= lgv.GRAPH_BUDGET < lgv._vertex_count(316)
+
+    def test_graph_budget(self, monkeypatch):
+        monkeypatch.setattr(lgv, "GRAPH_BUDGET", 25)  # order 9 has 25 vertices, order 10 has 30
+        assert len(lattice_graph(9).vertices) == 25
+        with pytest.raises(BudgetExceededError, match="order 10 has 30 vertices, over the budget of 25"):
+            lattice_graph(10)
+        with pytest.raises(ValueError, match="n must be >= 2"):
             lattice_graph(1)
 
 

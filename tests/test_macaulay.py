@@ -3,6 +3,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
+import polytnn.macaulay as macaulay
 from polytnn import (
     BudgetExceededError,
     MacaulayExpansion,
@@ -184,6 +185,15 @@ class TestOracle:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             oracle_is_m_sequence([1, 5, 12, 22], 5)
+
+    def test_zero_degree_then_nonzero_rejected_without_search(self, monkeypatch):
+        # division closure: no monomial of degree k leaves none of degree k + 1
+        def no_search(v, k):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(macaulay, "_monomials", no_search)
+        for seq in ([1, 7, 5, 0, 1], [1, 6, 4, 0, 1], [1, 0, 1], [1, 3, 0, 0, 2], [1, 9, 40, 0, 30]):
+            assert oracle_is_m_sequence(seq, max(1, seq[1])) is False, seq
 
     def test_agreement_with_boundary_test(self):
         for length in range(1, 5):

@@ -21,7 +21,7 @@ from polytnn import (
     strip_leading_column,
     transfer_matrix,
 )
-from oracles import all_minors, bareiss_scan, cofactor_det, minor_scan
+from oracles import all_minors, bareiss_scan, cofactor_det, loop_expand, minor_scan
 
 
 def expected_report(scan) -> TnnReport:
@@ -40,6 +40,46 @@ def shaped_matrices():
         mats.append(tuple(tuple(rng.randint(-2, 5) for _ in range(c)) for _ in range(r)))
         dens = [rng.randint(1, 7) for _ in range(c)]
         mats.append(tuple(tuple(Fraction(rng.randint(-2, 6), d) for d in dens) for _ in range(r)))
+    return mats
+
+
+def inline_pool(on_start):
+    """A stand-in for the process pool: calls on_start(max_workers) when it is
+    created and maps in-process."""
+
+    class InlinePool:
+        def __init__(self, max_workers=None):
+            on_start(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    return InlinePool
+
+
+def line_scaled_matrices():
+    """Seeded p/q matrices whose walked lines (rows of a tall or square matrix,
+    columns of a wide one) each have their own denominator, so tables and
+    negative minors come with many different scales; some entries get a
+    denominator of their own on top."""
+    rng = random.Random(20261020)
+    mats = []
+    for r, c in [(2, 2), (3, 3), (4, 4), (2, 6), (6, 2), (3, 5), (5, 3), (4, 7), (7, 4), (5, 6), (6, 5)]:
+        for trial in range(3):
+            dens = [rng.choice((1, 2, 3, 4, 5, 6, 7, 9, 10)) for _ in range(max(r, c))]
+            mats.append(tuple(
+                tuple(
+                    Fraction(rng.randint(-5, 9), dens[j if c > r else i] * (rng.randint(1, 3) if trial == 2 else 1))
+                    for j in range(c)
+                )
+                for i in range(r)
+            ))
     return mats
 
 
@@ -260,6 +300,25 @@ class TestAgainstBareissScan:
                     got = is_totally_nonnegative(rows, max_order=order, jobs=jobs)
                     assert got == expected, (rows, order, jobs)
 
+    def test_lines_with_different_scales(self):
+        mats = line_scaled_matrices()
+        assert sum(bareiss_scan(rows)[2] is not None for rows in mats) >= 25
+        for rows in mats:
+            for order in range(1, min(len(rows), len(rows[0])) + 1):
+                expected = expected_report(bareiss_scan(rows, order))
+                for jobs in (1, 2):
+                    got = is_totally_nonnegative(rows, max_order=order, jobs=jobs)
+                    assert got == expected, (rows, order, jobs)
+
+    def test_least_minor_is_compared_over_its_scale(self):
+        # row 1 (scale 1) is walked before row 0 (scale 2): its -1 must stay the
+        # least against row 0's table entry -1, which is the minor -1/2
+        rows = ((Fraction(-1, 2), 1), (-1, 1))
+        expected = TnnReport(False, 5, -1, MinorWitness((0,), (0,), Fraction(-1, 2)))
+        assert expected == expected_report(bareiss_scan(rows))
+        for jobs in (1, 2):
+            assert is_totally_nonnegative(rows, jobs=jobs) == expected
+
     def test_witness_orientation(self):
         # wide, so its columns are walked: its negative entries (0, 1) and (1, 0)
         # come first in (rows, cols) and in (cols, rows) order respectively
@@ -273,26 +332,34 @@ class TestAgainstBareissScan:
         assert is_totally_nonnegative(tall).witness == MinorWitness(w.cols, w.rows, w.value)
 
 
+class TestExpander:
+    def test_matches_loop_expansion(self):
+        rng = random.Random(20261021)
+        for short in range(1, 9):
+            for order in range(1, short + 1):
+                expand = tnn._expander(short, order)
+                assert tnn._expander(short, order) is expand
+                for bound in (1, 9, 10**30):
+                    line = [rng.randint(-bound, bound) for _ in range(short)]
+                    table = [rng.randint(-bound, bound) for _ in range(comb(short, order - 1))]
+                    assert expand(line, table) == loop_expand(line, table, order), (short, order)
+
+    def test_built_before_the_pool_starts(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            tnn, "ProcessPoolExecutor", inline_pool(lambda workers: built.append(tnn._expander.cache_info().currsize))
+        )
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
+        tnn._expander.cache_clear()
+        m = transfer_matrix(7)  # 4x7: short side 4, orders 1..4
+        assert is_totally_nonnegative(m, jobs=2) == is_totally_nonnegative(m)
+        assert built == [4]
+
+
 class TestWorkerCount:
     def test_workers_capped_by_tasks_and_cpus(self, monkeypatch):
         created = []
-
-        class InlinePool:
-            """Stands in for the process pool: records max_workers, maps in-process."""
-
-            def __init__(self, max_workers=None):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(tnn, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(tnn, "ProcessPoolExecutor", inline_pool(created.append))
         m = ExactMatrix(((1, 2), (3, 4)))  # two tasks, one per top row
         serial = is_totally_nonnegative(m)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
