@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +26,7 @@ from .errors import BudgetExceededError
 
 Scalar = Union[int, Fraction]
 SCAN_BUDGET = 10**7  # most minors one scan checks; --d 17 has 3,124,549
+FORK_MIN_WORK = 20_000  # fewest minors worth a fork: a fork costs ~3 ms, half a scan of ~20k minors
 
 __all__ = [
     "ExactMatrix",
@@ -234,11 +236,10 @@ def _fold(parts) -> tuple:
     return total, least, first
 
 
-def _scan_top(args) -> tuple:
-    """One worker task: the minor count, least minor and first negative minor in
-    (order, rows, cols) over its tables. Values stay integers over their scales,
-    compared by cross-multiplying, until the two that are reported."""
-    ints, scales, wide, max_order, tops = args
+def _scan_top(ints, scales, wide: bool, max_order: int, tops) -> tuple:
+    """The minor count, least minor and first negative minor in (order, rows, cols)
+    over the tables whose top line is in tops. Values stay integers over their
+    scales, compared by cross-multiplying, until the two that are reported."""
     count, least, least_scale, first = 0, None, 1, None  # first: (key, lines, scale, i, value)
     for lines, scale, table in _tables(ints, scales, max_order, tops):
         count += len(table)
@@ -258,13 +259,80 @@ def _scan_top(args) -> tuple:
     return count, least if least_scale == 1 else Fraction(least, least_scale), witness
 
 
+def _shares(lines: int, short: int, max_order: int, workers: int) -> list[list[int]]:
+    """Split the top lines into workers shares of near-equal cost, the multiply-adds
+    in a top line's subtree: sum over k of k * C(top, k-1) * C(short, k). The cost
+    never falls as top grows, so placing the tops largest first, each onto the
+    lightest share (the first on a tie), is deterministic and puts the largest
+    top in share 0, the caller's."""
+    if max_order == 1:  # every top costs short: the tops are dealt round robin
+        return [list(range(lines - 1 - i, -1, -workers)) for i in range(workers)]
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for top in reversed(range(lines)):
+        i = loads.index(min(loads))
+        shares[i].append(top)
+        loads[i] += sum(k * comb(top, k - 1) * comb(short, k) for k in range(1, max_order + 1))
+    return shares
+
+
+def _fork(scan, share) -> tuple:
+    """Fork a child that writes pickle(scan(share)) to a pipe and leaves by
+    os._exit, so no inherited stdout buffer or atexit handler runs twice;
+    return (its pid, the pipe's read end)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pickle.dump(scan(share), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _fork_map(scan, shares) -> list:
+    """[scan(share) for share in shares]: shares[0] in this process, each other share
+    in a forked child that inherits the matrix and kernels. A child that exits
+    nonzero, dies by a signal or sends no result raises ChildProcessError; if this
+    process's own share raises, the children are killed. Every child is reaped."""
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork(scan, share))
+        mine = scan(shares[0])
+        sent = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for (pid, _), code, data in zip(children, codes, sent):
+        if code or not data:
+            how = f"died by signal {-code}" if code < 0 else f"exited with code {code}" if code else "sent no result"
+            raise ChildProcessError(f"scan worker {pid} {how}")
+    return [mine] + [pickle.loads(data) for data in sent]
+
+
 def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) -> TnnReport:
     """Scan all minors up to max_order (default: all orders) exactly.
 
-    More than SCAN_BUDGET minors raise BudgetExceededError up front. One task
-    per walked line, largest first; the report (witness: the lexicographically
-    first negative minor) does not depend on jobs. min(jobs, tasks, CPUs)
-    worker processes run; when that is 1, one walk covers every line."""
+    More than SCAN_BUDGET minors raise BudgetExceededError up front. The top lines
+    are split into min(jobs, lines, CPUs) shares of near-equal cost; this process
+    scans one and a forked child each of the others. Below FORK_MIN_WORK minors,
+    or without os.fork, one walk here covers every line. The report (witness: the
+    lexicographically first negative minor) does not depend on jobs."""
     mat = as_matrix(m)
     limit = min(mat.rows, mat.cols)
     if max_order is None:
@@ -277,14 +345,13 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
     if work > SCAN_BUDGET:
         raise BudgetExceededError(f"the scan has {work} minors, over the budget of {SCAN_BUDGET}")
     ints, scales, wide = _clear(mat)
-    for k in range(1, max_order + 1):  # cached before the pool forks, so its workers inherit them
+    for k in range(1, max_order + 1):  # cached before the fork, so the children inherit them
         _expander(len(ints[0]), k)
-    tasks = [(ints, scales, wide, max_order, (top,)) for top in reversed(range(len(ints)))]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers == 1:
-        results = [_scan_top((ints, scales, wide, max_order, range(len(ints))))]
+    workers = min(jobs, len(ints), os.cpu_count() or 1)
+    if workers == 1 or work < FORK_MIN_WORK or not hasattr(os, "fork"):
+        results = [_scan_top(ints, scales, wide, max_order, range(len(ints)))]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:  # a chunk pickles ints once
-            results = list(pool.map(_scan_top, tasks, chunksize=1 + len(tasks) // (16 * workers)))
+        shares = _shares(len(ints), len(ints[0]), max_order, workers)
+        results = _fork_map(lambda tops: _scan_top(ints, scales, wide, max_order, tops), shares)
     total, min_minor, witness = _fold(results)
     return TnnReport(witness is None, total, min_minor, witness)

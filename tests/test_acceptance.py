@@ -59,7 +59,7 @@ def test_criterion_1_display_reproduction():
     _gate(1, "display-reproduction", 1, body)
 
 
-def test_criterion_2_exhaustive_total_nonnegativity():
+def test_criterion_2_exhaustive_total_nonnegativity(fork_always):
     def body():
         serial_start = time.monotonic()
         reports = {}
@@ -162,12 +162,12 @@ def test_criterion_7_ballot_erratum():
     _gate(7, "ballot-erratum-resolution", 5, body)
 
 
-def test_criterion_8_parallel_determinism():
+def test_criterion_8_parallel_determinism(forking_cli):
     def body():
         outputs = set()
         for jobs in (1, 2, 8):
             res = subprocess.run(
-                [sys.executable, "-m", "polytnn", "tnn", "--d", "8",
+                [*forking_cli, "tnn", "--d", "8",
                  "--jobs", str(jobs), "--format", "json"],
                 capture_output=True,
             )

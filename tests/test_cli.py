@@ -123,12 +123,13 @@ class TestTnnCommand:
         assert res.returncode == 1
         assert "error" in res.stderr
 
-    def test_jobs_byte_identical(self):
-        outputs = {
-            run_cli("tnn", "--d", "8", "--jobs", str(k), "--format", "json").stdout
+    def test_jobs_byte_identical(self, forking_cli):
+        runs = [
+            subprocess.run([*forking_cli, "tnn", "--d", "8", "--jobs", str(k), "--format", "json"], capture_output=True)
             for k in (1, 2, 8)
-        }
-        assert len(outputs) == 1
+        ]
+        assert [r.returncode for r in runs] == [0, 0, 0]
+        assert len({r.stdout for r in runs}) == 1
 
     def test_max_order(self):
         res = run_cli("tnn", "--file", "/dev/stdin", "--max-order", "1", input="1,2\n3,4\n")
@@ -146,8 +147,8 @@ class TestTnnCommand:
         assert "minors_checked: 190125" in res.stdout
 
     def test_long_thin_parallel_finishes(self, tmp_path):
-        # one task per line of the long side: 20,000 tasks must not each
-        # pickle the whole matrix
+        # 20,000 top lines of one minor each: --jobs 2 splits them into two
+        # shares, not one task per line
         line = ",".join(str(i % 7 + 1) for i in range(20000))
         for name, text in (("wide.csv", line + "\n"), ("tall.csv", line.replace(",", "\n") + "\n")):
             f = tmp_path / name

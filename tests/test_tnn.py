@@ -1,4 +1,9 @@
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -43,24 +48,41 @@ def shaped_matrices():
     return mats
 
 
-def inline_pool(on_start):
-    """A stand-in for the process pool: calls on_start(max_workers) when it is
-    created and maps in-process."""
+def inline_fork_map(on_fork):
+    """A stand-in for tnn._fork_map: calls on_fork(shares) where the real one
+    forks a child for each share but the first, then scans every share here."""
 
-    class InlinePool:
-        def __init__(self, max_workers=None):
-            on_start(max_workers)
+    def fork_map(scan, shares):
+        on_fork(shares)
+        return [scan(share) for share in shares]
 
-        def __enter__(self):
-            return self
+    return fork_map
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+def failing_shares(action):
+    """A tnn._scan_top that calls action() on every share without the largest
+    top line, so in every forked child and never in the caller."""
+    scan = tnn._scan_top
 
-    return InlinePool
+    def scan_top(ints, scales, wide, max_order, tops):
+        if len(ints) - 1 not in tops:
+            action()
+        return scan(ints, scales, wide, max_order, tops)
+
+    return scan_top
+
+
+def raise_error():
+    raise RuntimeError("share failed")
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def line_scaled_matrices():
@@ -226,13 +248,13 @@ class TestIsTotallyNonnegative:
         assert report
         assert report.minors_checked == 4
 
-    def test_parallel_report_identical(self):
+    def test_parallel_report_identical(self, fork_always):
         m = path_matrix(7)
         serial = is_totally_nonnegative(m)
         for jobs in (2, 3):
             assert is_totally_nonnegative(m, jobs=jobs) == serial
 
-    def test_parallel_witness_identical(self):
+    def test_parallel_witness_identical(self, fork_always):
         m = ExactMatrix(((1, 2, -1), (3, 4, 0), (5, 9, 1)))
         assert is_totally_nonnegative(m, jobs=2) == is_totally_nonnegative(m)
 
@@ -266,7 +288,7 @@ class TestIsTotallyNonnegative:
 
 
 class TestAgainstCofactorOracle:
-    def test_scan_matches_brute_force(self):
+    def test_scan_matches_brute_force(self, fork_always):
         for rows in cross_check_matrices():
             expected = expected_report(minor_scan(rows))
             for jobs in (1, 2):
@@ -285,14 +307,14 @@ class TestAgainstCofactorOracle:
 
 
 class TestAgainstBareissScan:
-    def test_transfer_and_path_matrices(self):
+    def test_transfer_and_path_matrices(self, fork_always):
         mats = [transfer_matrix(d) for d in range(1, 12)] + [path_matrix(n) for n in range(2, 13)]
         for m in mats:
             expected = expected_report(bareiss_scan(m.entries))
             for jobs in (1, 2, 3):
                 assert is_totally_nonnegative(m, jobs=jobs) == expected, (m, jobs)
 
-    def test_shaped_matrices_at_every_order(self):
+    def test_shaped_matrices_at_every_order(self, fork_always):
         for rows in shaped_matrices():
             for order in range(1, min(len(rows), len(rows[0])) + 1):
                 expected = expected_report(bareiss_scan(rows, order))
@@ -300,7 +322,7 @@ class TestAgainstBareissScan:
                     got = is_totally_nonnegative(rows, max_order=order, jobs=jobs)
                     assert got == expected, (rows, order, jobs)
 
-    def test_lines_with_different_scales(self):
+    def test_lines_with_different_scales(self, fork_always):
         mats = line_scaled_matrices()
         assert sum(bareiss_scan(rows)[2] is not None for rows in mats) >= 25
         for rows in mats:
@@ -310,7 +332,7 @@ class TestAgainstBareissScan:
                     got = is_totally_nonnegative(rows, max_order=order, jobs=jobs)
                     assert got == expected, (rows, order, jobs)
 
-    def test_least_minor_is_compared_over_its_scale(self):
+    def test_least_minor_is_compared_over_its_scale(self, fork_always):
         # row 1 (scale 1) is walked before row 0 (scale 2): its -1 must stay the
         # least against row 0's table entry -1, which is the minor -1/2
         rows = ((Fraction(-1, 2), 1), (-1, 1))
@@ -344,11 +366,12 @@ class TestExpander:
                     table = [rng.randint(-bound, bound) for _ in range(comb(short, order - 1))]
                     assert expand(line, table) == loop_expand(line, table, order), (short, order)
 
-    def test_built_before_the_pool_starts(self, monkeypatch):
+    def test_built_before_the_first_fork(self, monkeypatch):
         built = []
         monkeypatch.setattr(
-            tnn, "ProcessPoolExecutor", inline_pool(lambda workers: built.append(tnn._expander.cache_info().currsize))
+            tnn, "_fork_map", inline_fork_map(lambda shares: built.append(tnn._expander.cache_info().currsize))
         )
+        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
         tnn._expander.cache_clear()
         m = transfer_matrix(7)  # 4x7: short side 4, orders 1..4
@@ -358,23 +381,124 @@ class TestExpander:
 
 class TestWorkerCount:
     def test_workers_capped_by_tasks_and_cpus(self, monkeypatch):
-        created = []
-        monkeypatch.setattr(tnn, "ProcessPoolExecutor", inline_pool(created.append))
-        m = ExactMatrix(((1, 2), (3, 4)))  # two tasks, one per top row
+        forked = []
+        monkeypatch.setattr(tnn, "_fork_map", inline_fork_map(forked.append))
+        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
+        m = ExactMatrix(((1, 2), (3, 4)))  # two top rows
         serial = is_totally_nonnegative(m)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         assert is_totally_nonnegative(m, jobs=10**9) == serial
-        assert created == [2]
-        wide = ExactMatrix(((1, 2, -1), (3, 4, 0)))  # three tasks, one per top column
+        assert forked == [[[1], [0]]]  # capped by the lines: one child
+        wide = ExactMatrix(((1, 2, -1), (3, 4, 0)))  # three top columns
         wide_serial = is_totally_nonnegative(wide)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
         assert is_totally_nonnegative(wide, jobs=10**9) == wide_serial
-        assert created == [2, 2]
+        assert forked[1] == [[2], [1, 0]]  # capped by the CPUs; top costs 6, 4, 2
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
+        assert is_totally_nonnegative(wide, jobs=2) == wide_serial
+        assert forked[2] == [[2], [1, 0]]  # capped by jobs
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: None)
         assert is_totally_nonnegative(m, jobs=8) == serial
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         assert is_totally_nonnegative(ExactMatrix(((5,),)), jobs=8)
-        assert created == [2, 2]
+        assert len(forked) == 3
+
+    def test_one_child_per_share_but_the_callers(self, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(tnn.os, "fork", lambda: forks.append(os.getpid()) or fork())
+        m = transfer_matrix(7)  # 4x7: seven top columns
+        serial = is_totally_nonnegative(m)
+        for jobs, children in ((2, 1), (3, 2), (7, 6), (99, 6)):
+            forks.clear()
+            assert is_totally_nonnegative(m, jobs=jobs) == serial
+            assert forks == [os.getpid()] * children, jobs
+        assert_no_child_left()
+
+    def test_no_fork_below_the_cut_off_or_without_os_fork(self, monkeypatch):
+        forked = []
+        monkeypatch.setattr(tnn, "_fork_map", inline_fork_map(forked.append))
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: 4)
+        small = transfer_matrix(9)  # 5x9: 2,001 minors
+        assert tnn.FORK_MIN_WORK > 2001
+        assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
+        assert forked == []
+        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 2002)
+        assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
+        assert forked == []
+        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 2001)
+        assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
+        assert len(forked) == 1
+        monkeypatch.delattr(tnn.os, "fork")
+        assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
+        assert len(forked) == 1
+
+    def test_shares_balance_the_subtree_costs(self):
+        def cost(top, short, max_order):
+            return sum(k * comb(top, k - 1) * comb(short, k) for k in range(1, max_order + 1))
+
+        for lines, short, max_order in ((17, 9, 9), (13, 7, 7), (40, 4, 4), (200, 3, 2), (9, 8, 3), (5, 1, 1)):
+            for workers in range(1, min(lines, 5) + 1):
+                shares = tnn._shares(lines, short, max_order, workers)
+                assert sorted(top for share in shares for top in share) == list(range(lines))
+                assert lines - 1 in shares[0]
+                loads = [sum(cost(top, short, max_order) for top in share) for share in shares]
+                # greedy largest-first: no share exceeds another by more than its own cheapest top
+                for share, load in zip(shares, loads):
+                    assert load - min(loads) <= min(cost(top, short, max_order) for top in share)
+
+
+class TestChildFailure:
+    @pytest.mark.parametrize("action, message", [(raise_error, "exited with code 1"), (kill_self, "died by signal 9")])
+    def test_failed_child_raises_and_is_reaped(self, monkeypatch, action, message):
+        monkeypatch.setattr(tnn, "_scan_top", failing_shares(action))
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: 3)
+        m = transfer_matrix(13)  # 7x13: 77,519 minors, over the serial cut-off
+        for jobs in (2, 3):
+            with pytest.raises(ChildProcessError, match=message):
+                is_totally_nonnegative(m, jobs=jobs)
+            assert_no_child_left()
+        monkeypatch.undo()
+        assert is_totally_nonnegative(m, jobs=2)
+
+    def test_callers_share_failing_kills_the_children(self, monkeypatch):
+        scan = tnn._scan_top
+
+        def scan_top(ints, scales, wide, max_order, tops):
+            if len(ints) - 1 in tops:
+                raise RuntimeError("caller's share failed")
+            time.sleep(60)  # a child: killed long before this ends
+            return scan(ints, scales, wide, max_order, tops)
+
+        monkeypatch.setattr(tnn, "_scan_top", scan_top)
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: 3)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="caller's share failed"):
+            is_totally_nonnegative(transfer_matrix(13), jobs=3)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("action", ["raise RuntimeError", "os.kill(os.getpid(), signal.SIGKILL)"])
+    def test_cli_exits_1_without_a_report(self, action):
+        script = (
+            "import os, runpy, signal\n"
+            "import polytnn.tnn as tnn\n"
+            "scan = tnn._scan_top\n"
+            "def scan_top(ints, scales, wide, max_order, tops):\n"
+            f"    if len(ints) - 1 not in tops: {action}\n"
+            "    return scan(ints, scales, wide, max_order, tops)\n"
+            "tnn._scan_top = scan_top\n"
+            "os.cpu_count = lambda: 2\n"
+            "runpy.run_module('polytnn', run_name='__main__')\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", script, "tnn", "--d", "13", "--jobs", "2"], capture_output=True, text=True, timeout=60
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: scan worker ")
 
 
 class TestLgvCrossCheck:
