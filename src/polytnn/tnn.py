@@ -26,7 +26,9 @@ from .errors import BudgetExceededError
 
 Scalar = Union[int, Fraction]
 SCAN_BUDGET = 10**7  # most minors one scan checks; --d 17 has 3,124,549
-FORK_MIN_WORK = 20_000  # fewest minors worth a fork: a fork costs ~3 ms, half a scan of ~20k minors
+# fewest minors worth a fork: a fork, pipe read and reap cost about 3 ms on a
+# 2-vCPU VM, about what splitting a 20,000-minor scan in two saves
+FORK_MIN_WORK = 20_000
 
 __all__ = [
     "ExactMatrix",
