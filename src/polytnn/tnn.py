@@ -15,6 +15,7 @@ import json
 import os
 import pickle
 import signal
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,8 +27,11 @@ from .errors import BudgetExceededError
 
 Scalar = Union[int, Fraction]
 SCAN_BUDGET = 10**7  # most minors one scan checks; --d 17 has 3,124,549
-# fewest minors worth a fork: a fork, pipe read and reap cost about 3 ms on a
-# 2-vCPU VM, about what splitting a 20,000-minor scan in two saves
+# fewest minors worth a fork. --jobs 2 against serial, medians of 101 runs on a
+# 2-vCPU VM in two sittings: forked lost or tied up to 24,309 minors in the first
+# (7x10, 19,447 minors: 10.9 vs 7.2 ms; 5x16, 20,348: 18.9 vs 13.9 ms) and won or
+# tied from 18,563 up in the second (5x16: 12.3 vs 16.1 ms); from 26,333 up
+# (5x17: 14.8 vs 21.0 ms) it won in both. 20,000 lies in that break-even band.
 FORK_MIN_WORK = 20_000
 
 __all__ = [
@@ -267,8 +271,6 @@ def _shares(lines: int, short: int, max_order: int, workers: int) -> list[list[i
     never falls as top grows, so placing the tops largest first, each onto the
     lightest share (the first on a tie), is deterministic and puts the largest
     top in share 0, the caller's."""
-    if max_order == 1:  # every top costs short: the tops are dealt round robin
-        return [list(range(lines - 1 - i, -1, -workers)) for i in range(workers)]
     shares, loads = [[] for _ in range(workers)], [0] * workers
     for top in reversed(range(lines)):
         i = loads.index(min(loads))
@@ -278,9 +280,9 @@ def _shares(lines: int, short: int, max_order: int, workers: int) -> list[list[i
 
 
 def _fork(scan, share) -> tuple:
-    """Fork a child that writes pickle(scan(share)) to a pipe and leaves by
-    os._exit, so no inherited stdout buffer or atexit handler runs twice;
-    return (its pid, the pipe's read end)."""
+    """Fork a child that writes pickle(scan(share)) to a pipe, or its traceback to
+    stderr, and leaves by os._exit, so no inherited stdout buffer or atexit handler
+    runs twice; return (its pid, the pipe's read end)."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -295,6 +297,11 @@ def _fork(scan, share) -> tuple:
             with open(write, "wb") as pipe:
                 pickle.dump(scan(share), pipe)
             code = 0
+        except BaseException:  # the caller only sees the exit code: show the cause here
+            import traceback  # only a failing child pays for the import
+
+            traceback.print_exc()
+            sys.stderr.flush()
         finally:
             os._exit(code)
     os.close(write)

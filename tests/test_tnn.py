@@ -452,7 +452,7 @@ class TestWorkerCount:
 
 class TestChildFailure:
     @pytest.mark.parametrize("action, message", [(raise_error, "exited with code 1"), (kill_self, "died by signal 9")])
-    def test_failed_child_raises_and_is_reaped(self, monkeypatch, action, message):
+    def test_failed_child_raises_and_is_reaped(self, monkeypatch, capfd, action, message):
         monkeypatch.setattr(tnn, "_scan_top", failing_shares(action))
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 3)
         m = transfer_matrix(13)  # 7x13: 77,519 minors, over the serial cut-off
@@ -460,6 +460,7 @@ class TestChildFailure:
             with pytest.raises(ChildProcessError, match=message):
                 is_totally_nonnegative(m, jobs=jobs)
             assert_no_child_left()
+            assert capfd.readouterr().err.count("RuntimeError: share failed\n") == (jobs - 1) * (action is raise_error)
         monkeypatch.undo()
         assert is_totally_nonnegative(m, jobs=2)
 
@@ -480,8 +481,11 @@ class TestChildFailure:
         assert time.monotonic() - start < 30
         assert_no_child_left()
 
-    @pytest.mark.parametrize("action", ["raise RuntimeError", "os.kill(os.getpid(), signal.SIGKILL)"])
-    def test_cli_exits_1_without_a_report(self, action):
+    @pytest.mark.parametrize(
+        "action, cause",
+        [("raise RuntimeError('share failed')", "RuntimeError: share failed\n"), ("os.kill(os.getpid(), signal.SIGKILL)", "")],
+    )
+    def test_cli_exits_1_without_a_report(self, action, cause):
         script = (
             "import os, runpy, signal\n"
             "import polytnn.tnn as tnn\n"
@@ -498,7 +502,11 @@ class TestChildFailure:
         )
         assert res.returncode == 1
         assert res.stdout == ""
-        assert res.stderr.startswith("error: scan worker ")
+        # a child that raised printed its traceback before the caller's error line
+        *child, error = res.stderr.splitlines(keepends=True)
+        assert error.startswith("error: scan worker ")
+        assert "".join(child).endswith(cause)
+        assert bool(child) == bool(cause)
 
 
 class TestLgvCrossCheck:
