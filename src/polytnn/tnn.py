@@ -4,9 +4,12 @@ A matrix is totally nonnegative when every minor, of every order, is
 nonnegative. This module walks the lines of the longer side (the minors of
 the transpose are the same), scales each by the lcm of its denominators, and
 builds the minors on lines (r0,) + S, r0 < S[0], from those on S by integer
-Laplace expansion along line r0. It reports a clean bill or the
-lexicographically first negative minor as a witness. The scan never stops
-early, so the report is identical however the work is split across processes.
+Laplace expansion along line r0: one generated function per (short side,
+max order), a nested loop per order with each expansion written out as
+straight-line code. It reports a clean bill or the lexicographically first
+negative minor as a witness. The scan never stops early, so the report is
+identical however the work is split across processes. iter_minors eliminates
+each minor on its own (Bareiss).
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ from .errors import BudgetExceededError
 
 Scalar = Union[int, Fraction]
 SCAN_BUDGET = 10**7  # most minors one scan checks; --d 17 has 3,124,549
-# fewest minors worth a fork. --jobs 2 against serial, medians of 101 runs on a
-# 2-vCPU VM in two sittings: forked lost or tied up to 24,309 minors in the first
-# (7x10, 19,447 minors: 10.9 vs 7.2 ms; 5x16, 20,348: 18.9 vs 13.9 ms) and won or
-# tied from 18,563 up in the second (5x16: 12.3 vs 16.1 ms); from 26,333 up
-# (5x17: 14.8 vs 21.0 ms) it won in both. 20,000 lies in that break-even band.
-FORK_MIN_WORK = 20_000
+# fewest minors worth a fork. Serial vs --jobs 2, medians of 101 interleaved runs on a
+# 2-vCPU VM in two sittings: serial won both up to 24,309 minors (8x9: 6.7 vs 10.1 and
+# 6.9 vs 8.4 ms), forked both from 38,759 up (6x14: 14.4 vs 11.3, 14.1 vs 10.2 ms), and
+# between, the winner changed with shape and sitting (7x11, 31,823: 9.1 vs 12.3, 9.3 vs 8.0).
+FORK_MIN_WORK = 30_000
 
 __all__ = [
     "ExactMatrix",
@@ -90,11 +92,10 @@ def _clear(mat: ExactMatrix) -> tuple[list[list[int]], list[int], bool]:
     """(integer lines, scales, wide): the lines of the longer side (the columns
     of a wide matrix), each scaled by the lcm of its denominators."""
     wide = mat.cols > mat.rows
-    ints, scales = [], []
-    for line in zip(*mat.entries) if wide else mat.entries:
-        scale = lcm(*(x.denominator for x in line))
-        ints.append([x.numerator * (scale // x.denominator) for x in line])
-        scales.append(scale)
+    lines = list(zip(*mat.entries)) if wide else mat.entries
+    scales = [lcm(*[x.denominator for x in line]) for line in lines]
+    ints = [[x.numerator * (s // x.denominator) for x in line] if s > 1 else [x.numerator for x in line]
+            for line, s in zip(lines, scales)]
     return ints, scales, wide
 
 
@@ -172,48 +173,57 @@ class TnnReport:
 
 
 @lru_cache(maxsize=64)  # a scan in SCAN_BUDGET has at most 12 orders: C(26, 13) > 10**7
-def _expander(short: int, order: int):
-    """expand(line, table) -> the table on lines (r0,) + S, from line r0 and the table
-    on S, both indexed by the short side: one straight-line Laplace expansion per
-    order-subset T of range(short), in lex order, with the term l[c]*t[q] signed by the
-    position of c in T and q the lex rank of T without c. The source holds only these
-    indices, order * C(short, order) terms, no more than the scan's minor count."""
-    rank = {s: i for i, s in enumerate(combinations(range(short), order - 1))}
-    entries = []
-    for t in combinations(range(short), order):
-        terms = [f"l{c}*t{rank[t[:i] + t[i + 1:]]}" for i, c in enumerate(t)]
-        entries.append(terms[0] + "".join("+-"[i % 2] + x for i, x in enumerate(terms[1:], 1)))
-    source = (
-        "def expand(l, t):\n"
-        f"    {''.join(f'l{c}, ' for c in range(short))}= l\n"
-        f"    {''.join(f't{q}, ' for q in range(len(rank)))}= t\n"
-        f"    return [{', '.join(entries)}]\n"
-    )
-    namespace: dict = {}
-    exec(compile(source, f"<tnn expander short={short} order={order}>", "exec"), namespace)
-    return namespace["expand"]
+def _walker(short: int, max_order: int):
+    """walk(ints, scales, tops, wide) -> (least, its scale, first negative or None) over
+    every line set of size <= max_order whose top (largest) line is in tops.
+
+    Loop k takes r_k from tops (k = 1) or below r_(k-1) and holds the table of lines
+    (r_k, ..., r_1): their scale times their minors on the order-k subsets T of the
+    short side in lex order, each a Laplace expansion along r_k written out, whose
+    term l[c]*t[q] is signed by the position of c in T, q the lex rank of T without c
+    in loop k-1's table. The source holds only these indices, order * C(short, order)
+    terms per loop, no more than the minor count, so SCAN_BUDGET bounds it too."""
+    src = [
+        "def walk(ints, scales, tops, wide):",  # least/least_scale = 1/0 lies above every minor
+        f"    least, least_scale, first, first_order, s0, t0_0 = 1, 0, None, {max_order}, 1, 1",
+    ]
+    for k in range(1, max_order + 1):
+        pad, rank = "    " * k, {s: q for q, s in enumerate(combinations(range(short), k - 1))}
+        entries = (
+            "".join(f"{'+-'[i % 2]}l{c}*t{k - 1}_{rank[t[:i] + t[i + 1:]]}" for i, c in enumerate(t))[1:]
+            for t in combinations(range(short), k)
+        )
+        src += [  # values stay integers over their scales, compared by cross-multiplying
+            f"{pad}for r{k} in {'tops' if k == 1 else f'range(r{k - 1})'}:",
+            f"{pad}    {''.join(f'l{c}, ' for c in range(short))}= ints[r{k}]",
+            f"{pad}    s{k} = s{k - 1} * scales[r{k}]",
+            f"{pad}    t = [{', '.join(entries)}]",
+            f"{pad}    low = min(t)",
+            f"{pad}    if low * least_scale < least * s{k}:",
+            f"{pad}        least, least_scale = low, s{k}",
+            f"{pad}    if low < 0 and {k} <= first_order:  # a lower order wins",
+            f"{pad}        lines = ({''.join(f'r{j}, ' for j in range(k, 0, -1))})",
+            f"{pad}        first, first_order = _first_negative(first, lines, s{k}, t, wide), {k}",
+            f"{pad}    {''.join(f't{k}_{q}, ' for q in range(comb(short, k)))}= t" if k < max_order else "",
+        ]
+    src.append("    return least, least_scale, first")
+    namespace = {"_first_negative": _first_negative}
+    exec(compile("\n".join(src), f"<tnn walker short={short} max_order={max_order}>", "exec"), namespace)
+    return namespace["walk"]
+
+
+def _first_negative(first, lines: tuple, scale: int, table: list, wide: bool) -> tuple:
+    """The lesser in (order, rows, cols) of first and the table's first negative
+    entry, as (key, lines, scale, index, value)."""
+    i = next(i for i, v in enumerate(table) if v < 0)
+    key = (len(lines), i, lines) if wide else (len(lines), lines, i)
+    return first if first is not None and first[0] <= key else (key, lines, scale, i, table[i])
 
 
 def _minor(wide: bool, lines: tuple, subset: tuple, scale: int, value: int) -> MinorWitness:
-    """The minor on lines and a subset of the short side, whose table entry is value."""
+    """The minor on lines and a subset of the short side, whose scaled value is value."""
     value = value if scale == 1 else Fraction(value, scale)
     return MinorWitness(*((subset, lines) if wide else (lines, subset)), value)
-
-
-def _tables(ints, scales, max_order: int, tops):
-    """Yield (lines, scale, table) per line set of size <= max_order, top line in tops.
-
-    table[i] is the set's scale times its minor on the i-th short-side subset (lex
-    order). Depth first, so only the current path's tables are held."""
-    expand = [_expander(len(ints[0]), k) for k in range(1, max_order + 1)]
-    stack = [(top, (), 1, [1]) for top in tops]  # (r0, S, scale and table of S); det() = 1
-    while stack:
-        r0, lines, scale, table = stack.pop()
-        lines, scale = (r0,) + lines, scale * scales[r0]
-        table = expand[len(lines) - 1](ints[r0], table)
-        yield lines, scale, table
-        if len(lines) < max_order:
-            stack += [(r, lines, scale, table) for r in range(r0)]
 
 
 def iter_minors(m, order: int):
@@ -222,13 +232,11 @@ def iter_minors(m, order: int):
     if order < 1 or order > min(mat.rows, mat.cols):
         raise ValueError(f"minor order must be in 1..{min(mat.rows, mat.cols)}, got {order}")
     ints, scales, wide = _clear(mat)
-    subsets = list(combinations(range(len(ints[0])), order))
-    tables = _tables(ints, scales, order, range(len(ints)))
-    yield from sorted(
-        _minor(wide, lines, t, scale, v)
-        for lines, scale, table in tables if len(lines) == order
-        for t, v in zip(subsets, table)
-    )
+    for rows in combinations(range(mat.rows), order):
+        for cols in combinations(range(mat.cols), order):
+            lines, subset = (cols, rows) if wide else (rows, cols)
+            det = _bareiss([[ints[i][j] for j in subset] for i in lines])
+            yield _minor(wide, lines, subset, prod(scales[i] for i in lines), det)
 
 
 def _fold(parts) -> tuple:
@@ -244,25 +252,15 @@ def _fold(parts) -> tuple:
 
 def _scan_top(ints, scales, wide: bool, max_order: int, tops) -> tuple:
     """The minor count, least minor and first negative minor in (order, rows, cols)
-    over the tables whose top line is in tops. Values stay integers over their
-    scales, compared by cross-multiplying, until the two that are reported."""
-    count, least, least_scale, first = 0, None, 1, None  # first: (key, lines, scale, i, value)
-    for lines, scale, table in _tables(ints, scales, max_order, tops):
-        count += len(table)
-        low = min(table)
-        if least is None or low * least_scale < least * scale:
-            least, least_scale = low, scale
-        if low < 0 and (first is None or len(lines) <= first[0][0]):  # a lower order wins
-            i = next(i for i, v in enumerate(table) if v < 0)
-            key = (len(lines), i, lines) if wide else (len(lines), lines, i)
-            if first is None or key < first[0]:
-                first = key, lines, scale, i, table[i]
-    witness = None
-    if first is not None:
+    over the line sets whose top line is in tops: C(top, k-1) sets of order k per
+    top, each with C(short, k) minors."""
+    short = len(ints[0])
+    least, least_scale, first = _walker(short, max_order)(ints, scales, tops, wide)
+    count = sum(comb(top, k - 1) * comb(short, k) for top in tops for k in range(1, max_order + 1))
+    if first is not None:  # the witness
         _, lines, scale, i, value = first
-        subset = next(islice(combinations(range(len(ints[0])), len(lines)), i, None))
-        witness = _minor(wide, lines, subset, scale, value)
-    return count, least if least_scale == 1 else Fraction(least, least_scale), witness
+        first = _minor(wide, lines, next(islice(combinations(range(short), len(lines)), i, None)), scale, value)
+    return count, least if least_scale == 1 else Fraction(least, least_scale), first
 
 
 def _shares(lines: int, short: int, max_order: int, workers: int) -> list[list[int]]:
@@ -354,8 +352,7 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
     if work > SCAN_BUDGET:
         raise BudgetExceededError(f"the scan has {work} minors, over the budget of {SCAN_BUDGET}")
     ints, scales, wide = _clear(mat)
-    for k in range(1, max_order + 1):  # cached before the fork, so the children inherit them
-        _expander(len(ints[0]), k)
+    _walker(len(ints[0]), max_order)  # cached before the fork, so the children inherit it
     workers = min(jobs, len(ints), os.cpu_count() or 1)
     if workers == 1 or work < FORK_MIN_WORK or not hasattr(os, "fork"):
         results = [_scan_top(ints, scales, wide, max_order, range(len(ints)))]

@@ -3,8 +3,7 @@
 Everything here is deliberately naive: Pascal recursion instead of the
 closed form, step-by-step path walking instead of reflection counting,
 cofactor expansion instead of elimination, one elimination per minor
-instead of building minors from smaller ones, a loop over the Laplace
-terms instead of generated straight-line code, Fraction arc weights
+instead of building minors from smaller ones, Fraction arc weights
 multiplied along the lattice instead of counting paths, a linear search
 for each binomial expansion term instead of bisection, subset counting
 instead of transform algebra. Agreement between these and the library is
@@ -100,24 +99,29 @@ def bareiss_det(rows) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def bareiss_scan(rows, max_order=None):
+def bareiss_scan(rows, max_order=None, tops=None):
     """(minors checked, least minor, first negative (rows, cols, value) or None).
 
     The per-minor scan: each row is scaled to integers by the lcm of its
     denominators, and each minor up to max_order is one Bareiss elimination
     on its column subset, divided by its rows' scales (an int when that is
-    1). Minors are taken in (order, rows, cols) lexicographic order.
+    1). Minors are taken in (order, rows, cols) lexicographic order. With
+    tops, only the minors whose last line on the longer side (its last column
+    if the matrix is wide, else its last row) is in tops are taken.
     """
     ints, scales = [], []
     for row in rows:
         scale = lcm(*(Fraction(x).denominator for x in row))
         ints.append([int(Fraction(x) * scale) for x in row])
         scales.append(scale)
+    wide = len(rows[0]) > len(rows)
     count, least, first_neg = 0, None, None
     for order in range(1, (max_order or min(len(rows), len(rows[0]))) + 1):
         for r in combinations(range(len(rows)), order):
             scale = prod(scales[i] for i in r)
             for c in combinations(range(len(rows[0])), order):
+                if tops is not None and (c if wide else r)[-1] not in tops:
+                    continue
                 det = bareiss_det([[ints[i][j] for j in c] for i in r])
                 value = det if scale == 1 else Fraction(det, scale)
                 count += 1
@@ -126,20 +130,6 @@ def bareiss_scan(rows, max_order=None):
                 if value < 0 and first_neg is None:
                     first_neg = (r, c, value)
     return count, least, first_neg
-
-
-def loop_expand(line, table, order: int) -> list:
-    """The table on lines (r0,) + S from line r0 and the table on S, by a loop:
-    per order-subset T of the short side (lex order), the sum over the i-th
-    element c of T of (-1)**i * line[c] * table[lex rank of T without c]."""
-    rank = {t: q for q, t in enumerate(combinations(range(len(line)), order - 1))}
-    out = []
-    for t in combinations(range(len(line)), order):
-        acc = 0
-        for i, c in enumerate(t):
-            acc += (-1) ** i * line[c] * table[rank[t[:i] + t[i + 1:]]]
-        out.append(acc)
-    return out
 
 
 def greedy_expansion(value: int, k: int) -> tuple:

@@ -147,15 +147,15 @@ class TestTnnCommand:
         assert "minors_checked: 190125" in res.stdout
 
     def test_long_thin_parallel_finishes(self, tmp_path):
-        # 20,000 top lines of one minor each: --jobs 2 splits them into two
-        # shares, not one task per line
-        line = ",".join(str(i % 7 + 1) for i in range(20000))
+        # 40,000 top lines of one minor each, over tnn.FORK_MIN_WORK: --jobs 2
+        # splits them into two shares, not one task per line
+        line = ",".join(str(i % 7 + 1) for i in range(40000))
         for name, text in (("wide.csv", line + "\n"), ("tall.csv", line.replace(",", "\n") + "\n")):
             f = tmp_path / name
             f.write_text(text)
             res = run_cli("tnn", "--file", str(f), "--jobs", "2", timeout=10)
             assert res.returncode == 0
-            assert res.stdout == "is_tnn: true\nminors_checked: 20000\nmin_minor: 1\n"
+            assert res.stdout == "is_tnn: true\nminors_checked: 40000\nmin_minor: 1\n"
 
     def test_json_schema(self):
         res = run_cli("tnn", "--n", "5", "--format", "json")

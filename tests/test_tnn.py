@@ -26,7 +26,7 @@ from polytnn import (
     strip_leading_column,
     transfer_matrix,
 )
-from oracles import all_minors, bareiss_scan, cofactor_det, loop_expand, minor_scan
+from oracles import all_minors, bareiss_scan, cofactor_det, minor_scan
 
 
 def expected_report(scan) -> TnnReport:
@@ -102,6 +102,30 @@ def line_scaled_matrices():
                 )
                 for i in range(r)
             ))
+    return mats
+
+
+def walker_matrices():
+    """Seeded matrices for each short side 1..8 (short + 1 walked lines, 8 for short
+    8): the totally positive Pascal matrix C(i + j, i) with one entry lowered, each
+    walked line then multiplied by its own factor up to 10**24 and divided by its own
+    denominator up to 9. For short sides 1..7 one is tall with a random entry lowered;
+    for each, one is transposed (square for short 8) with its leading square block's
+    determinant made -1, so that its first negative minor can be of a high order."""
+    rng = random.Random(20261021)
+    mats = []
+    for short in range(1, 9):
+        long = short + (short < 8)
+        for wide in (False, True)[short == 8:]:
+            lines = [[comb(i + j, i) for j in range(short)] for i in range(long)]
+            if wide:
+                lines[short - 1][short - 1] -= 2
+            else:
+                lines[rng.randrange(1, long)][rng.randrange(short > 1, short)] -= rng.randint(0, 3)
+            dens = [rng.randint(1, 9) for _ in range(long)]
+            factors = [rng.randint(1, 10**24) for _ in range(long)]
+            lines = [[Fraction(x * f, d) for x in line] for line, f, d in zip(lines, factors, dens)]
+            mats.append(tuple(zip(*lines)) if wide else tuple(map(tuple, lines)))
     return mats
 
 
@@ -354,29 +378,43 @@ class TestAgainstBareissScan:
         assert is_totally_nonnegative(tall).witness == MinorWitness(w.cols, w.rows, w.value)
 
 
-class TestExpander:
-    def test_matches_loop_expansion(self):
-        rng = random.Random(20261021)
-        for short in range(1, 9):
-            for order in range(1, short + 1):
-                expand = tnn._expander(short, order)
-                assert tnn._expander(short, order) is expand
-                for bound in (1, 9, 10**30):
-                    line = [rng.randint(-bound, bound) for _ in range(short)]
-                    table = [rng.randint(-bound, bound) for _ in range(comb(short, order - 1))]
-                    assert expand(line, table) == loop_expand(line, table, order), (short, order)
+class TestWalker:
+    def test_matches_the_bareiss_scan(self):
+        orders = set()
+        for rows in walker_matrices():
+            ints, scales, wide = tnn._clear(as_matrix(rows))
+            short, lines = len(ints[0]), len(ints)
+            for max_order in range(1, short + 1):
+                walk = tnn._walker(short, max_order)
+                assert tnn._walker(short, max_order) is walk
+                for tops in (range(lines), range(0, lines - 1, 2)):
+                    count, least, first = bareiss_scan(rows, max_order, None if len(tops) == lines else set(tops))
+                    witness = None if first is None else MinorWitness(*first)
+                    got = tnn._scan_top(ints, scales, wide, max_order, tops)
+                    assert got == (count, least, witness), (rows, max_order, tops)
+                    orders.add(witness and len(witness.rows))
+        assert orders == {None, 1, 2, 3, 4, 5, 6}
+
+    def test_twelve_by_twelve_share(self):
+        # the largest walker a scan in SCAN_BUDGET compiles: 12 nested loops
+        rows = [[comb(i + j, i) for j in range(12)] for i in range(12)]
+        rows[4][4] -= 2  # the first negative minor in rows 0..4 is of order 4
+        ints, scales, wide = tnn._clear(as_matrix(rows))
+        count, least, first = bareiss_scan(rows, tops={4})
+        assert first == ((0, 1, 3, 4), (3, 4, 5, 6), -19)
+        assert tnn._scan_top(ints, scales, wide, 12, [4]) == (count, least, MinorWitness(*first))
 
     def test_built_before_the_first_fork(self, monkeypatch):
         built = []
         monkeypatch.setattr(
-            tnn, "_fork_map", inline_fork_map(lambda shares: built.append(tnn._expander.cache_info().currsize))
+            tnn, "_fork_map", inline_fork_map(lambda shares: built.append(tnn._walker.cache_info().currsize))
         )
         monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
-        tnn._expander.cache_clear()
-        m = transfer_matrix(7)  # 4x7: short side 4, orders 1..4
+        tnn._walker.cache_clear()
+        m = transfer_matrix(7)  # 4x7: one walker, short side 4 and orders 1..4
         assert is_totally_nonnegative(m, jobs=2) == is_totally_nonnegative(m)
-        assert built == [4]
+        assert built == [1]
 
 
 class TestWorkerCount:
