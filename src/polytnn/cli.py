@@ -23,7 +23,7 @@ from .errors import CrossCheckError
 from .lgv import check_minor, export_dot, graph_json_obj, lattice_graph, minor_via_lgv
 from .macaulay import is_m_sequence, oracle_is_m_sequence
 from .polyvec import FVector, GVector, euler_check, f_to_g, g_to_f, is_polytopal
-from .tnn import as_matrix, determinant, is_totally_nonnegative
+from .tnn import as_matrix, check_scan, determinant, is_totally_nonnegative
 from .transfer import parse_matrix_csv, parse_matrix_json, path_matrix, transfer_matrix
 
 __all__ = ["main", "run"]
@@ -85,6 +85,9 @@ def _load_matrix_file(path: str):
 
 
 def cmd_tnn(args) -> int:
+    n = args.n if args.d is None else args.d + 1  # M_d is W_(d+1) without its first column
+    if args.file is None and n >= 2:  # refuse from the shape before building; n < 2 fails there
+        check_scan((n + 1) // 2, n - (args.d is not None), args.max_order, args.jobs)
     if args.d is not None:
         mat = as_matrix(transfer_matrix(args.d))
     elif args.n is not None:
@@ -149,10 +152,7 @@ def cmd_feasible(args) -> int:
 def cmd_msequence(args) -> int:
     verdict = is_m_sequence(args.seq)
     if args.oracle:
-        vars_hint = args.max_vars
-        if vars_hint is None:
-            vars_hint = args.seq[1] if len(args.seq) > 1 else 1
-        agreed = oracle_is_m_sequence(args.seq, max(1, vars_hint))
+        agreed = oracle_is_m_sequence(args.seq, max(1, args.seq[1] if len(args.seq) > 1 else 1))
         if agreed != verdict.ok:
             raise CrossCheckError(
                 f"is_m_sequence says {verdict.ok} but the multicomplex oracle "
@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check against exhaustive multicomplex search",
     )
-    p.add_argument("--max-vars", type=int, default=None)
     _add_format(p, choices=("text", "json"))
     p.set_defaults(func=cmd_msequence)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError
@@ -137,22 +137,8 @@ def is_m_sequence(seq: Sequence[int]) -> MSequenceVerdict:
 @lru_cache(maxsize=None)
 def _monomials(v: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Degree-k exponent vectors on v variables, lexicographically descending."""
-    if v == 0:
-        return ((),) if k == 0 else ()
-    out = []
-
-    def rec(pos: int, rem: int, acc: list[int]) -> None:
-        if pos == v - 1:
-            out.append(tuple(acc) + (rem,))
-            return
-        for e in range(rem, -1, -1):
-            acc.append(e)
-            rec(pos + 1, rem - e, acc)
-            acc.pop()
-
-    rec(0, k, [])
-    out.sort(reverse=True)
-    return tuple(out)
+    multisets = combinations_with_replacement(range(v), k)
+    return tuple(sorted((tuple(m.count(i) for i in range(v)) for m in multisets), reverse=True))
 
 
 def _divisors(mono: tuple[int, ...]):

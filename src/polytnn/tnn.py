@@ -6,10 +6,11 @@ the transpose are the same), scales each by the lcm of its denominators, and
 builds the minors on lines (r0,) + S, r0 < S[0], from those on S by integer
 Laplace expansion along line r0: one generated function per (short side,
 max order), a nested loop per order with each expansion written out as
-straight-line code. It reports a clean bill or the lexicographically first
-negative minor as a witness. The scan never stops early, so the report is
-identical however the work is split across processes. iter_minors eliminates
-each minor on its own (Bareiss).
+straight-line code. Each share of the lines returns the walk's least value and
+first negative minor as integers, folded once into a clean bill or the
+lexicographically first negative minor as a witness. The scan never stops
+early, so the report is identical however the work is split across processes.
+iter_minors eliminates each minor on its own (Bareiss).
 """
 
 from __future__ import annotations
@@ -239,28 +240,10 @@ def iter_minors(m, order: int):
             yield _minor(wide, lines, subset, prod(scales[i] for i in lines), det)
 
 
-def _fold(parts) -> tuple:
-    """Sum the counts, keep the least value and the least witness in (order, rows, cols)."""
-    total, least, first = 0, None, None
-    for count, low, w in parts:
-        total += count
-        least = low if least is None else min(least, low)
-        if w is not None and (first is None or (len(w.rows), w) < (len(first.rows), first)):
-            first = w
-    return total, least, first
-
-
 def _scan_top(ints, scales, wide: bool, max_order: int, tops) -> tuple:
-    """The minor count, least minor and first negative minor in (order, rows, cols)
-    over the line sets whose top line is in tops: C(top, k-1) sets of order k per
-    top, each with C(short, k) minors."""
-    short = len(ints[0])
-    least, least_scale, first = _walker(short, max_order)(ints, scales, tops, wide)
-    count = sum(comb(top, k - 1) * comb(short, k) for top in tops for k in range(1, max_order + 1))
-    if first is not None:  # the witness
-        _, lines, scale, i, value = first
-        first = _minor(wide, lines, next(islice(combinations(range(short), len(lines)), i, None)), scale, value)
-    return count, least if least_scale == 1 else Fraction(least, least_scale), first
+    """The walker's (least, its scale, first negative or None) over the line sets
+    whose top line is in tops: ints and tuples, which a child pickles."""
+    return _walker(len(ints[0]), max_order)(ints, scales, tops, wide)
 
 
 def _shares(lines: int, short: int, max_order: int, workers: int) -> list[list[int]]:
@@ -332,25 +315,33 @@ def _fork_map(scan, shares) -> list:
     return [mine] + [pickle.loads(data) for data in sent]
 
 
-def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) -> TnnReport:
-    """Scan all minors up to max_order (default: all orders) exactly.
-
-    More than SCAN_BUDGET minors raise BudgetExceededError up front. The top lines
-    are split into min(jobs, lines, CPUs) shares of near-equal cost; this process
-    scans one and a forked child each of the others. Below FORK_MIN_WORK minors,
-    or without os.fork, one walk here covers every line. The report (witness: the
-    lexicographically first negative minor) does not depend on jobs."""
-    mat = as_matrix(m)
-    limit = min(mat.rows, mat.cols)
+def check_scan(rows: int, cols: int, max_order: Optional[int] = None, jobs: int = 1) -> tuple[int, int]:
+    """(max_order, minors) of a scan of a rows x cols matrix; ValueError for a bad
+    max_order or jobs, BudgetExceededError past SCAN_BUDGET minors."""
+    limit = min(rows, cols)
     if max_order is None:
         max_order = limit
     if max_order < 1 or max_order > limit:
         raise ValueError(f"max_order must be in 1..{limit}, got {max_order}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    work = sum(comb(mat.rows, k) * comb(mat.cols, k) for k in range(1, max_order + 1))
+    work = sum(comb(rows, k) * comb(cols, k) for k in range(1, max_order + 1))
     if work > SCAN_BUDGET:
         raise BudgetExceededError(f"the scan has {work} minors, over the budget of {SCAN_BUDGET}")
+    return max_order, work
+
+
+def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) -> TnnReport:
+    """Scan all minors up to max_order (default: all orders) exactly.
+
+    check_scan refuses bad arguments and more than SCAN_BUDGET minors up front.
+    The top lines are split into min(jobs, lines, CPUs) shares of near-equal cost;
+    this process scans one and a forked child each of the others. Below
+    FORK_MIN_WORK minors, or without os.fork, one walk here covers every line.
+    The report (witness: the lexicographically first negative minor), folded
+    here from the shares' raw results, does not depend on jobs."""
+    mat = as_matrix(m)
+    max_order, work = check_scan(mat.rows, mat.cols, max_order, jobs)
     ints, scales, wide = _clear(mat)
     _walker(len(ints[0]), max_order)  # cached before the fork, so the children inherit it
     workers = min(jobs, len(ints), os.cpu_count() or 1)
@@ -359,5 +350,9 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
     else:
         shares = _shares(len(ints), len(ints[0]), max_order, workers)
         results = _fork_map(lambda tops: _scan_top(ints, scales, wide, max_order, tops), shares)
-    total, min_minor, witness = _fold(results)
-    return TnnReport(witness is None, total, min_minor, witness)
+    first = min((r[2] for r in results if r[2] is not None), default=None)  # keys are unique
+    if first is not None:  # the witness
+        _, lines, scale, i, value = first
+        first = _minor(wide, lines, next(islice(combinations(range(len(ints[0])), len(lines)), i, None)), scale, value)
+    least, scale, _ = min(results, key=lambda r: Fraction(r[0], r[1]))  # every share has minors
+    return TnnReport(first is None, work, least if scale == 1 else Fraction(least, scale), first)

@@ -11,6 +11,8 @@ import pytest
 
 import polytnn
 import polytnn.__main__
+import polytnn.cli as cli
+from polytnn import TnnReport
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -146,6 +148,38 @@ class TestTnnCommand:
         assert res.returncode == 0
         assert "minors_checked: 190125" in res.stdout
 
+    def test_huge_shape_refused_before_building(self):
+        # M_2000 is 1001x2000 and W_2000 1000x2000; building either takes over 100 s.
+        # The sum of C(r, k) * C(c, k) over k >= 1 is C(r + c, r) - 1 (Vandermonde).
+        for flag, rows in (("--d", 1001), ("--n", 1000)):
+            res = run_cli("tnn", flag, "2000", timeout=5)
+            assert res.returncode == 1
+            assert res.stdout == ""
+            assert res.stderr == f"error: the scan has {comb(rows + 2000, rows) - 1} minors, over the budget of 10000000\n"
+
+    def test_refusal_uses_the_built_shape(self, monkeypatch, capsys):
+        checked, built = [], []
+        check = cli.check_scan
+        monkeypatch.setattr(cli, "check_scan", lambda rows, cols, *rest: checked.append((rows, cols)) or check(rows, cols, *rest))
+        monkeypatch.setattr(cli, "is_totally_nonnegative", lambda m, **kw: built.append((m.rows, m.cols)) or TnnReport(True, 0, 0))
+        for flag, sizes in (("--d", range(1, 41)), ("--n", range(2, 41))):
+            for size in sizes:
+                assert cli.main(["tnn", flag, str(size), "--max-order", "1"]) == 0
+        assert checked == built
+        assert len(built) == 79
+
+    def test_errors_keep_their_order(self, capsys):
+        # a bad --d or --n is the builder's error; then max_order, jobs and the budget, in that order
+        for args, error in (
+            (("--d", "0", "--jobs", "0"), "transfer_matrix: d must be >= 1, got 0"),
+            (("--n", "1", "--max-order", "0"), "path_matrix: n must be >= 2, got 1"),
+            (("--d", "2000", "--max-order", "0", "--jobs", "0"), "max_order must be in 1..1001, got 0"),
+            (("--n", "2000", "--jobs", "0"), "jobs must be >= 1, got 0"),
+            (("--d", "5", "--max-order", "4"), "max_order must be in 1..3, got 4"),
+        ):
+            assert cli.main(["tnn", *args]) == 1
+            assert capsys.readouterr() == ("", f"error: {error}\n"), args
+
     def test_long_thin_parallel_finishes(self, tmp_path):
         # 40,000 top lines of one minor each, over tnn.FORK_MIN_WORK: --jobs 2
         # splits them into two shares, not one task per line
@@ -228,9 +262,15 @@ class TestMsequenceCommand:
         assert res.stdout == "true\n"
 
     def test_oracle_flag_agrees(self):
-        res = run_cli("msequence", "--seq", "1,3,5", "--oracle")
-        assert res.returncode == 0
-        assert res.stdout == "true\n"
+        for seq in ("1,3,5", "1,3,2"):  # 1,3,2: the oracle must search all n_1 = 3 variables
+            res = run_cli("msequence", "--seq", seq, "--oracle")
+            assert res.returncode == 0
+            assert res.stdout == "true\n"
+
+    def test_max_vars_is_not_an_option(self):
+        res = run_cli("msequence", "--seq", "1,3,2", "--oracle", "--max-vars", "1")
+        assert res.returncode == 2
+        assert "unrecognized arguments: --max-vars 1" in res.stderr
 
     def test_oracle_zero_gap_finishes(self):
         # 1,7,5,0,1 took 44 s and 1,6,4,0,1 2 s before the division-closure prune

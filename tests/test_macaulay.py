@@ -186,6 +186,12 @@ class TestOracle:
         with pytest.raises(BudgetExceededError):
             oracle_is_m_sequence([1, 5, 12, 22], 5)
 
+    def test_monomials_against_brute_force(self):
+        for v in range(7):
+            for k in range(7):
+                brute = sorted((e for e in product(range(k + 1), repeat=v) if sum(e) == k), reverse=True)
+                assert macaulay._monomials(v, k) == tuple(brute), (v, k)
+
     def test_zero_degree_then_nonzero_rejected_without_search(self, monkeypatch):
         # division closure: no monomial of degree k leaves none of degree k + 1
         def no_search(v, k):

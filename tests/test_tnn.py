@@ -48,6 +48,40 @@ def shaped_matrices():
     return mats
 
 
+def plain(x) -> bool:
+    """x is None, an int or a tuple of such: no Fraction and no MinorWitness."""
+    return x is None or type(x) is int or (type(x) is tuple and all(map(plain, x)))
+
+
+def share_report(rows, max_order, tops):
+    """tnn._scan_top's raw (least, scale, first) over tops, converted here on its own
+    into (least minor, MinorWitness or None), for comparison with bareiss_scan."""
+    ints, scales, wide = tnn._clear(as_matrix(rows))
+    got = tnn._scan_top(ints, scales, wide, max_order, tops)
+    assert plain(got), got  # what a forked child pickles
+    least, scale, first = got
+    witness = None
+    if first is not None:
+        key, lines, first_scale, i, value = first
+        subset = list(combinations(range(len(ints[0])), len(lines)))[i]
+        assert key == ((len(lines), i, lines) if wide else (len(lines), lines, i))
+        witness = MinorWitness(*((subset, lines) if wide else (lines, subset)), Fraction(value, first_scale))
+    return Fraction(least, scale), witness
+
+
+def random_shares(rng, record):
+    """A tnn._shares that deals the top lines, shuffled, into workers nonempty shares
+    at random cut points, and records them."""
+
+    def shares(lines, short, max_order, workers):
+        tops = rng.sample(range(lines), lines)
+        cuts = sorted(rng.sample(range(1, lines), workers - 1))
+        record.append([tops[a:b] for a, b in zip([0] + cuts, cuts + [lines])])
+        return record[-1]
+
+    return shares
+
+
 def inline_fork_map(on_fork):
     """A stand-in for tnn._fork_map: calls on_fork(shares) where the real one
     forks a child for each share but the first, then scans every share here."""
@@ -390,19 +424,20 @@ class TestWalker:
                 for tops in (range(lines), range(0, lines - 1, 2)):
                     count, least, first = bareiss_scan(rows, max_order, None if len(tops) == lines else set(tops))
                     witness = None if first is None else MinorWitness(*first)
-                    got = tnn._scan_top(ints, scales, wide, max_order, tops)
-                    assert got == (count, least, witness), (rows, max_order, tops)
+                    assert share_report(rows, max_order, tops) == (least, witness), (rows, max_order, tops)
                     orders.add(witness and len(witness.rows))
+                    if len(tops) == lines:
+                        assert is_totally_nonnegative(rows, max_order).minors_checked == count
         assert orders == {None, 1, 2, 3, 4, 5, 6}
 
     def test_twelve_by_twelve_share(self):
         # the largest walker a scan in SCAN_BUDGET compiles: 12 nested loops
         rows = [[comb(i + j, i) for j in range(12)] for i in range(12)]
         rows[4][4] -= 2  # the first negative minor in rows 0..4 is of order 4
-        ints, scales, wide = tnn._clear(as_matrix(rows))
         count, least, first = bareiss_scan(rows, tops={4})
         assert first == ((0, 1, 3, 4), (3, 4, 5, 6), -19)
-        assert tnn._scan_top(ints, scales, wide, 12, [4]) == (count, least, MinorWitness(*first))
+        assert share_report(rows, 12, [4]) == (least, MinorWitness(*first))
+        assert is_totally_nonnegative(rows).minors_checked == comb(24, 12) - 1  # sum of C(12, k)^2, k >= 1
 
     def test_built_before_the_first_fork(self, monkeypatch):
         built = []
@@ -415,6 +450,31 @@ class TestWalker:
         m = transfer_matrix(7)  # 4x7: one walker, short side 4 and orders 1..4
         assert is_totally_nonnegative(m, jobs=2) == is_totally_nonnegative(m)
         assert built == [1]
+
+
+class TestFold:
+    def test_any_partition_in_any_order_gives_the_serial_report(self, monkeypatch):
+        # shares dealt at random, in shuffled order, so the least value, its scale and
+        # the first negative minor can come from any share, in any position
+        rng, dealt, split = random.Random(20261022), [], []
+
+        def fork_map(scan, shares):
+            results = [scan(share) for share in shares]
+            split.append(sum(first is not None for _, _, first in results) > 1)
+            return results
+
+        monkeypatch.setattr(tnn, "_fork_map", fork_map)
+        monkeypatch.setattr(tnn, "_shares", random_shares(rng, dealt))
+        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
+        for rows in line_scaled_matrices() + shaped_matrices() + walker_matrices():
+            lines = max(len(rows), len(rows[0]))
+            for order in range(1, min(len(rows), len(rows[0])) + 1):
+                serial = is_totally_nonnegative(rows, max_order=order)
+                for _ in range(4 if lines > 1 else 0):
+                    got = is_totally_nonnegative(rows, max_order=order, jobs=rng.randint(2, lines))
+                    assert got == serial, (rows, order, dealt[-1])
+        assert sum(split) >= 500  # scans with negative minors in more than one share
 
 
 class TestWorkerCount:
