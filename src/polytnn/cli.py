@@ -178,8 +178,7 @@ def cmd_msequence(args) -> int:
 
 
 def cmd_lgv(args) -> int:
-    verify = args.verify and args.dot is None
-    if verify and args.n >= 2:  # check the minor before the O(n^2) graph; n < 2 fails there first
+    if args.verify and args.n >= 2:  # check the minor before the O(n^2) graph; n < 2 fails there first
         if args.rows is None or args.cols is None:
             raise UsageError("--verify requires --rows and --cols")
         check_minor(args.n, args.rows, args.cols)
@@ -188,7 +187,7 @@ def cmd_lgv(args) -> int:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(graph))
         return 0
-    if verify:
+    if args.verify:
         total = minor_via_lgv(graph, args.rows, args.cols)
         w = path_matrix(args.n)
         sub = as_matrix(w).submatrix(args.rows, args.cols)
@@ -282,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lgv", help="lattice graphs and disjoint-path certificates")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--verify", action="store_true")
     p.add_argument("--rows", type=_int_list, default=None)
     p.add_argument("--cols", type=_int_list, default=None)
-    p.add_argument("--dot", default=None, metavar="FILE")
+    grp.add_argument("--dot", default=None, metavar="FILE")
     _add_format(p, choices=("text", "json", "dot"))
     p.set_defaults(func=cmd_lgv)
 

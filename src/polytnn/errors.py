@@ -4,8 +4,9 @@
 class BudgetExceededError(ValueError):
     """An exhaustive search was asked to run beyond its documented budget.
 
-    Raised instead of attempting the search, so callers get an explicit
-    "infeasible" signal and never a silently wrong or absurdly slow answer.
+    Raised before the search starts, or as soon as its counted work passes
+    the budget, so callers get an explicit "infeasible" signal and never a
+    silently wrong or absurdly slow answer.
     """
 
 

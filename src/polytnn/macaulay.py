@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError
@@ -32,14 +32,10 @@ __all__ = [
     "boundary",
     "is_m_sequence",
     "oracle_is_m_sequence",
-    "ORACLE_BUDGET",
     "ORACLE_WORK_CAP",
 ]
 
-# The exhaustive multicomplex search always accepts sequences whose entries
-# sum to at most ORACLE_BUDGET; past that it still runs if the bound on
-# candidate sets stays under ORACLE_WORK_CAP, else it refuses.
-ORACLE_BUDGET = 25
+# The multicomplex search refuses once it has tested more monomials than this.
 ORACLE_WORK_CAP = 1_000_000
 
 
@@ -135,34 +131,29 @@ def is_m_sequence(seq: Sequence[int]) -> MSequenceVerdict:
 
 
 @lru_cache(maxsize=None)
-def _monomials(v: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Degree-k exponent vectors on v variables, lexicographically descending."""
-    multisets = combinations_with_replacement(range(v), k)
-    return tuple(sorted((tuple(m.count(i) for i in range(v)) for m in multisets), reverse=True))
+def _monomials(v: int, k: int) -> tuple[tuple[tuple, tuple], ...]:
+    """Degree-k monomials on v variables, k >= 1, each with its divisors.
 
-
-def _divisors(mono: tuple[int, ...]):
-    for i, e in enumerate(mono):
-        if e > 0:
-            yield mono[:i] + (e - 1,) + mono[i + 1:]
-
-
-def _work_bound(seq: Sequence[int], v: int) -> int:
-    """Upper bound on candidate sets the multicomplex search can visit.
-
-    At degree k there are at most C(v+k-1, k) monomials, so at most
-    C(C(v+k-1, k), n_k) choices; a degree demanding more monomials than
-    exist kills the search on the spot, so deeper levels cost nothing.
+    A monomial is a tuple of (variable, exponent) pairs, variables ascending
+    and exponents positive, so it holds at most min(v, k) pairs however
+    large v or k is. The monomials come in lexicographically descending
+    order of their exponent vectors.
     """
-    bound = 1
-    for k in range(1, len(seq)):
-        avail = binomial(v + k - 1, k)
-        if seq[k] > avail:
-            break
-        bound *= binomial(avail, seq[k])
-        if bound > ORACLE_WORK_CAP:
-            break
-    return bound
+
+    def spread(low, k):
+        # the degree-k monomials in the variables low..v-1; the last variable
+        # can only take the whole degree, so no branch comes back empty
+        for i in range(low, v):
+            yield ((i, k),)
+            for e in range(k - 1, 0, -1) if i < v - 1 else ():
+                for rest in spread(i + 1, k - e):
+                    yield ((i, e),) + rest
+
+    def divisors(m):
+        # one exponent lowered by one, its variable dropped when that leaves 0
+        return tuple(m[:j] + (((i, e - 1),) if e > 1 else ()) + m[j + 1:] for j, (i, e) in enumerate(m))
+
+    return tuple((m, divisors(m)) for m in spread(0, k))
 
 
 def oracle_is_m_sequence(seq: Sequence[int], max_vars: int) -> bool:
@@ -176,11 +167,10 @@ def oracle_is_m_sequence(seq: Sequence[int], max_vars: int) -> bool:
     must itself appear in degree 1, so the effective variable count is
     min(max_vars, n_1); passing a larger max_vars does not change the
     answer. A zero count followed by a nonzero one is rejected before any
-    search, by division closure. Any sequence with entry sum at most
-    ORACLE_BUDGET is accepted; beyond that the oracle still runs when an
-    upper bound on the number of candidate sets stays small (for instance
-    when every degree takes all monomials, a single candidate each), and
-    raises BudgetExceededError otherwise. It never returns a wrong answer.
+    search, by division closure. Each time the search reaches a degree k
+    it counts all C(v+k-1, k) monomials of that degree as tested, before it
+    lists them, and it raises BudgetExceededError once the count passes
+    ORACLE_WORK_CAP. It never returns a wrong answer.
     """
     seq = list(seq)
     if not seq:
@@ -194,30 +184,33 @@ def oracle_is_m_sequence(seq: Sequence[int], max_vars: int) -> bool:
     # unit monomial and its degree-0 count is exactly 1
     if seq[0] != 1:
         return False
-    if len(seq) == 1:
-        return True
     # every monomial of degree k+1 has a divisor of degree k, so a multicomplex
     # with no monomial of degree k has none of any higher degree either
     if 0 in seq and any(seq[seq.index(0):]):
         return False
-    v = min(max_vars, seq[1])
-    if sum(seq) > ORACLE_BUDGET and _work_bound(seq, v) > ORACLE_WORK_CAP:
-        raise BudgetExceededError(
-            f"oracle infeasible: sum of entries {sum(seq)} exceeds the search "
-            f"budget {ORACLE_BUDGET} and the candidate-set bound exceeds "
-            f"{ORACLE_WORK_CAP}"
-        )
-
-    def search(k: int, prev: frozenset) -> bool:
-        if k == len(seq):
+    v = min(max_vars, seq[1]) if len(seq) > 1 else 0
+    tested = 0
+    # stack[j] yields the untried candidate sets of degree j, degree 0 only
+    # the unit monomial; a stack, not recursion, so that a long sequence
+    # cannot exhaust the recursion limit
+    stack = [iter([((),)])]
+    while stack:
+        chosen = next(stack[-1], None)
+        if chosen is None:
+            stack.pop()
+            continue
+        k = len(stack)
+        # past the prune a zero count is followed only by zeros, which the
+        # empty set meets in every later degree
+        if k == len(seq) or seq[k] == 0:
             return True
-        need = seq[k]
-        avail = [m for m in _monomials(v, k) if all(d in prev for d in _divisors(m))]
-        if need > len(avail):
-            return False
-        for chosen in combinations(avail, need):
-            if search(k + 1, frozenset(chosen)):
-                return True
-        return False
-
-    return search(1, frozenset(_monomials(v, 0)))
+        tested += binomial(v + k - 1, k)
+        if tested > ORACLE_WORK_CAP:
+            raise BudgetExceededError(
+                f"oracle infeasible: reaching degree {k} takes the search past "
+                f"its budget of {ORACLE_WORK_CAP} monomial tests"
+            )
+        prev = frozenset(chosen)
+        avail = [m for m, divisors in _monomials(v, k) if prev.issuperset(divisors)]
+        stack.append(combinations(avail, seq[k]))
+    return False

@@ -262,8 +262,10 @@ class TestMsequenceCommand:
         assert res.stdout == "true\n"
 
     def test_oracle_flag_agrees(self):
-        for seq in ("1,3,5", "1,3,2"):  # 1,3,2: the oracle must search all n_1 = 3 variables
-            res = run_cli("msequence", "--seq", seq, "--oracle")
+        # 1,3,2: the oracle must search all n_1 = 3 variables; 1,20000 and 1,3000,0
+        # ran out of memory or time while whole exponent vectors were built
+        for seq in ("1,3,5", "1,3,2", "1,20000", "1,3000,0", "1,5,12,22"):
+            res = run_cli("msequence", "--seq", seq, "--oracle", timeout=5)
             assert res.returncode == 0
             assert res.stdout == "true\n"
 
@@ -280,9 +282,13 @@ class TestMsequenceCommand:
             assert res.stdout == "false, k=4, boundary=1, bound=0\n"
 
     def test_oracle_budget_exceeded(self):
-        res = run_cli("msequence", "--seq", "1,5,12,22", "--oracle")
-        assert res.returncode == 1
-        assert "budget" in res.stderr
+        # 1,7,5,1,2 ran for over a minute under the entry-sum rule
+        for seq in ("1,7,5,1,2", "1,1000000000000"):
+            res = run_cli("msequence", "--seq", seq, "--oracle", timeout=5)
+            assert res.returncode == 1
+            assert res.stderr.startswith("error: oracle infeasible")
+            assert "budget" in res.stderr
+            assert "Traceback" not in res.stderr
 
     def test_json_schema(self):
         res = run_cli("msequence", "--seq", "1,2,4", "--format", "json")
@@ -302,6 +308,14 @@ class TestLgvCommand:
     def test_verify_requires_indices(self):
         res = run_cli("lgv", "--n", "4", "--verify")
         assert res.returncode == 2
+
+    def test_verify_with_dot_is_usage_error(self, tmp_path):
+        # the pair used to write the DOT file and skip checking the minor
+        out = tmp_path / "x.dot"
+        res = run_cli("lgv", "--n", "8", "--verify", "--rows", "0,1", "--cols", "5,4", "--dot", str(out))
+        assert res.returncode == 2
+        assert "not allowed with argument" in res.stderr
+        assert not out.exists()
 
     def test_dot_file(self, tmp_path):
         out = tmp_path / "t8.dot"

@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -183,14 +183,48 @@ class TestOracle:
             assert oracle_is_m_sequence(seq, seq[1]) == oracle_is_m_sequence(seq, 9)
 
     def test_budget_refusal(self):
+        # false, but only after every 5-set of the 28 degree-2 monomials is tried
         with pytest.raises(BudgetExceededError):
-            oracle_is_m_sequence([1, 5, 12, 22], 5)
+            oracle_is_m_sequence([1, 7, 5, 1, 2], 7)
+
+    def test_work_cap_refuses_true_sequence(self, monkeypatch):
+        # 1,4,10,20 tests 4 + 10 + 20 monomials
+        monkeypatch.setattr(macaulay, "ORACLE_WORK_CAP", 33)
+        with pytest.raises(BudgetExceededError, match="budget of 33 monomial tests"):
+            oracle_is_m_sequence([1, 4, 10, 20], 4)
+        monkeypatch.setattr(macaulay, "ORACLE_WORK_CAP", 34)
+        assert oracle_is_m_sequence([1, 4, 10, 20], 4) is True
+
+    def test_refused_before_monomials_are_listed(self, monkeypatch):
+        # listing the 10^12 degree-1 monomials would exhaust memory first
+        def no_listing(v, k):
+            raise AssertionError("the monomials were listed")
+
+        monkeypatch.setattr(macaulay, "_monomials", no_listing)
+        with pytest.raises(BudgetExceededError):
+            oracle_is_m_sequence([1, 10**12], 10**12)
+
+    def test_long_sequence_searches_without_recursion(self):
+        # one variable: one monomial per degree, 2,000 degrees deep
+        assert oracle_is_m_sequence([1] * 2001, 1) is True
+        assert oracle_is_m_sequence([1] * 2000 + [2], 1) is False
 
     def test_monomials_against_brute_force(self):
+        def dense(mono, v):
+            e = [0] * v
+            for i, p in mono:
+                e[i] = p
+            return tuple(e)
+
         for v in range(7):
-            for k in range(7):
+            for k in range(1, 7):
                 brute = sorted((e for e in product(range(k + 1), repeat=v) if sum(e) == k), reverse=True)
-                assert macaulay._monomials(v, k) == tuple(brute), (v, k)
+                table = macaulay._monomials(v, k)
+                assert [dense(m, v) for m, _ in table] == brute, (v, k)
+                for m, divisors in table:
+                    e = dense(m, v)
+                    lowered = [e[:i] + (e[i] - 1,) + e[i + 1:] for i in range(v) if e[i]]
+                    assert [dense(d, v) for d in divisors] == lowered, m
 
     def test_zero_degree_then_nonzero_rejected_without_search(self, monkeypatch):
         # division closure: no monomial of degree k leaves none of degree k + 1
@@ -202,11 +236,12 @@ class TestOracle:
             assert oracle_is_m_sequence(seq, max(1, seq[1])) is False, seq
 
     def test_agreement_with_boundary_test(self):
-        for length in range(1, 5):
-            for seq in product(range(6), repeat=length):
-                expected = bool(is_m_sequence(list(seq))) if seq else False
-                vars_hint = seq[1] if len(seq) > 1 else 1
-                assert oracle_is_m_sequence(list(seq), max(1, vars_hint)) == expected, seq
+        short = (seq for length in range(1, 5) for seq in product(range(6), repeat=length))
+        length_five = (seq for seq in product(range(11), repeat=5) if sum(seq) <= 10)
+        for seq in chain(short, length_five):
+            expected = bool(is_m_sequence(list(seq)))
+            vars_hint = seq[1] if len(seq) > 1 else 1
+            assert oracle_is_m_sequence(list(seq), max(1, vars_hint)) == expected, seq
 
 
 def test_expansion_value_object():
