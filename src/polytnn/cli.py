@@ -20,7 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import CrossCheckError
-from .lgv import check_minor, export_dot, graph_json_obj, lattice_graph, minor_via_lgv
+from .lgv import export_dot, graph_json_obj, lattice_graph, minor_via_lgv
 from .macaulay import is_m_sequence, oracle_is_m_sequence
 from .polyvec import FVector, GVector, euler_check, f_to_g, g_to_f, is_polytopal
 from .tnn import as_matrix, check_scan, determinant, is_totally_nonnegative
@@ -178,19 +178,19 @@ def cmd_msequence(args) -> int:
 
 
 def cmd_lgv(args) -> int:
-    if args.verify and args.n >= 2:  # check the minor before the O(n^2) graph; n < 2 fails there first
-        if args.rows is None or args.cols is None:
-            raise UsageError("--verify requires --rows and --cols")
-        check_minor(args.n, args.rows, args.cols)
     graph = lattice_graph(args.n)
+    if args.verify and (args.rows is None or args.cols is None):
+        raise UsageError("--verify requires --rows and --cols")
+    if not args.verify and (args.rows is not None or args.cols is not None):
+        raise UsageError("--rows and --cols require --verify")
     if args.dot is not None:
+        text = export_dot(graph)  # before the file is opened, so a refusal writes none
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(graph))
+            fh.write(text)
         return 0
     if args.verify:
         total = minor_via_lgv(graph, args.rows, args.cols)
-        w = path_matrix(args.n)
-        sub = as_matrix(w).submatrix(args.rows, args.cols)
+        sub = as_matrix(path_matrix(args.n)).submatrix(args.rows, args.cols)
         det = determinant(sub)
         if total != det:
             raise CrossCheckError(

@@ -20,11 +20,16 @@ weight telescopes to C(n,j)/C(n,i) whatever its route. Every family on
 rows I and columns J therefore weighs prod C(n,J) / prod C(n,I), and the
 minor is that constant times the number of families, which an integer
 sweep over the anti-diagonals counts without listing them.
+
+Every path kernel tests points with the one region test _inside(n, x, y).
+A LatticeGraph is just its order: its vertices and Fraction arcs are built
+on first read, for output only, and GRAPH_BUDGET refuses that build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
@@ -54,7 +59,7 @@ __all__ = [
 
 Vertex = tuple[int, int]
 
-GRAPH_BUDGET = 25_000  # most vertices lattice_graph builds; n = 315 has 24,964
+GRAPH_BUDGET = 25_000  # most vertices LatticeGraph.vertices builds; n = 315 has 24,964
 
 # family enumeration is exponential in principle; these bounds keep every
 # in-contract call comfortably fast and anything bigger errors out
@@ -73,11 +78,21 @@ def vertical_weight(n: int, y: int) -> Fraction:
     return Fraction(n - y, y + 1)
 
 
+def _inside(n: int, x: int, y: int) -> bool:
+    """Whether (x, y) is a vertex of the graph of order n."""
+    c = (n + 1) // 2 - 1
+    return x <= c and y - x <= n // 2 and x + y >= c
+
+
+def _vertex_count(n: int) -> int:
+    """Vertices of the graph of order n: column x = 0..c holds heights
+    c-x..x+floor(n/2), 2x + floor(n/2) - c + 1 of them, which sum to this."""
+    return ((n + 1) // 2) * (n // 2 + 1)
+
+
 @dataclass(frozen=True)
 class LatticeGraph:
     n: int
-    vertices: frozenset
-    arcs: tuple[Arc, ...]
 
     @property
     def corner(self) -> int:
@@ -91,40 +106,36 @@ class LatticeGraph:
 
     @property
     def sinks(self) -> tuple[Vertex, ...]:
-        c = self.corner
-        return tuple((c, j) for j in range(self.n))
+        return tuple((self.corner, j) for j in range(self.n))
 
+    @cached_property
+    def vertices(self) -> frozenset:
+        """Built on first read; past GRAPH_BUDGET, BudgetExceededError."""
+        n, c = self.n, self.corner
+        if _vertex_count(n) > GRAPH_BUDGET:
+            raise BudgetExceededError(
+                f"the lattice graph of order {n} has {_vertex_count(n)} vertices, "
+                f"over the budget of {GRAPH_BUDGET}"
+            )
+        return frozenset((x, y) for x in range(c + 1) for y in range(c - x, x + n // 2 + 1))
 
-def _vertex_count(n: int) -> int:
-    """Vertices of the graph of order n: column x = 0..c holds heights
-    c-x..x+floor(n/2), 2x + floor(n/2) - c + 1 of them, which sum to this."""
-    return ((n + 1) // 2) * (n // 2 + 1)
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """Every arc, sorted by (tail, head): from each tail, up then right."""
+        arcs = []
+        for x, y in sorted(self.vertices):
+            if _inside(self.n, x, y + 1):
+                arcs.append(Arc((x, y), (x, y + 1), vertical_weight(self.n, y)))
+            if _inside(self.n, x + 1, y):
+                arcs.append(Arc((x, y), (x + 1, y), Fraction(1)))
+        return tuple(arcs)
 
 
 def lattice_graph(n: int) -> LatticeGraph:
-    """Build the weighted lattice graph of order n >= 2, refusing more than
-    GRAPH_BUDGET vertices with BudgetExceededError before it builds any."""
+    """The weighted lattice graph of order n >= 2, with nothing built yet."""
     if n < 2:
         raise ValueError(f"lattice_graph: n must be >= 2, got {n}")
-    if _vertex_count(n) > GRAPH_BUDGET:
-        raise BudgetExceededError(
-            f"the lattice graph of order {n} has {_vertex_count(n)} vertices, "
-            f"over the budget of {GRAPH_BUDGET}"
-        )
-    c = (n + 1) // 2 - 1
-    diag = n // 2
-    vertices = set()
-    for x in range(c + 1):
-        for y in range(c - x, x + diag + 1):
-            vertices.add((x, y))
-    arcs = []
-    for x, y in vertices:
-        if (x + 1, y) in vertices:
-            arcs.append(Arc((x, y), (x + 1, y), Fraction(1)))
-        if (x, y + 1) in vertices:
-            arcs.append(Arc((x, y), (x, y + 1), vertical_weight(n, y)))
-    arcs.sort(key=lambda a: (a.tail, a.head))
-    return LatticeGraph(n, frozenset(vertices), tuple(arcs))
+    return LatticeGraph(n)
 
 
 def _check_indices(n: int, i: int, j: int) -> None:
@@ -135,33 +146,37 @@ def _check_indices(n: int, i: int, j: int) -> None:
         raise ValueError(f"sink index out of range: j = {j}, valid 0..{n - 1}")
 
 
+def _weighted(count: int, n: int, rows: Sequence[int], cols: Sequence[int]) -> int:
+    """count paths or families on (rows, cols) times the weight of each,
+    prod C(n,J) / prod C(n,I): an integer, which is checked, not assumed."""
+    num = count * prod(binomial(n, j) for j in cols)
+    den = prod(binomial(n, i) for i in rows)
+    if num % den:
+        raise CrossCheckError(
+            f"n={n}, rows={rows}, cols={cols}: lgv weight {Fraction(num, den)} is not an integer"
+        )
+    return num // den
+
+
 def path_weight_sum(g: LatticeGraph, i: int, j: int) -> int:
     """Exact total weight of all paths from source i to sink j.
 
     Every such path climbs heights i..j-1 once, so its weight is
     C(n,j)/C(n,i) whatever its route: the sum is the number of paths (an
-    integer dynamic program over the vertex set) times that ratio. The
-    result is always an integer; that is checked, not assumed.
+    integer dynamic program over the region) times that ratio.
     """
     _check_indices(g.n, i, j)
     (x0, y0), (x1, y1) = g.sources[i], g.sinks[j]
     count = {(x0, y0): 1}
     for x in range(x0, x1 + 1):
         for y in range(y0, y1 + 1):
-            if (x, y) in g.vertices and (x, y) != (x0, y0):
+            if _inside(g.n, x, y) and (x, y) != (x0, y0):
                 count[x, y] = count.get((x - 1, y), 0) + count.get((x, y - 1), 0)
-    num, den = count.get((x1, y1), 0) * binomial(g.n, j), binomial(g.n, i)
-    if num % den:
-        raise CrossCheckError(
-            f"path weight sum for n={g.n}, i={i}, j={j} is not an integer: {Fraction(num, den)}"
-        )
-    return num // den
+    return _weighted(count.get((x1, y1), 0), g.n, [i], [j])
 
 
 def _paths(g: LatticeGraph, src: Vertex, dst: Vertex) -> tuple[tuple[Vertex, ...], ...]:
-    """All monotone paths src -> dst inside the vertex set, as vertex tuples."""
-    if src not in g.vertices or dst not in g.vertices:
-        return ()
+    """All monotone paths src -> dst inside the region, as vertex tuples."""
     found: list[tuple[Vertex, ...]] = []
 
     def walk(v: Vertex, acc: list[Vertex]) -> None:
@@ -172,7 +187,7 @@ def _paths(g: LatticeGraph, src: Vertex, dst: Vertex) -> tuple[tuple[Vertex, ...
         if x > dst[0] or y > dst[1]:
             return
         for nxt in ((x, y + 1), (x + 1, y)):
-            if nxt in g.vertices:
+            if _inside(g.n, *nxt):
                 acc.append(nxt)
                 walk(nxt, acc)
                 acc.pop()
@@ -190,16 +205,13 @@ class PathFamily:
 
 
 def check_minor(n: int, rows: Sequence[int], cols: Sequence[int]) -> None:
-    """Raise ValueError for a malformed minor, then BudgetExceededError past
-    the family budget. Needs only n, so a caller can check before it builds
-    the graph of order n."""
+    """Raise ValueError for a malformed minor of the graph of order n, then
+    BudgetExceededError past the family budget."""
     if len(rows) != len(cols):
         raise ValueError("rows and cols must have the same length")
     if not rows:
         raise ValueError("rows and cols must be nonempty")
-    if any(b <= a for a, b in zip(rows, rows[1:])) or any(
-        b <= a for a, b in zip(cols, cols[1:])
-    ):
+    if any(b <= a for seq in (rows, cols) for a, b in zip(seq, seq[1:])):
         raise ValueError("rows and cols must be strictly increasing")
     for i in rows:
         _check_indices(n, i, 0)
@@ -210,11 +222,6 @@ def check_minor(n: int, rows: Sequence[int], cols: Sequence[int]) -> None:
             f"family enumeration budget is order <= {FAMILY_MAX_ORDER} and n <= {FAMILY_MAX_N}; "
             f"got order {len(rows)}, n {n}"
         )
-
-
-def _family_weight(n: int, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-    """The weight every family on (rows, cols) has: prod C(n,J) / prod C(n,I)."""
-    return Fraction(prod(binomial(n, j) for j in cols), prod(binomial(n, i) for i in rows))
 
 
 def nonintersecting_families(
@@ -228,11 +235,10 @@ def nonintersecting_families(
     family under a non-identity pairing as a hard internal error, turning
     the proof fact into a runtime invariant.
     """
-    rows = list(rows)
-    cols = list(cols)
+    rows, cols = list(rows), list(cols)
     check_minor(g.n, rows, cols)
     k = len(rows)
-    weight = _family_weight(g.n, rows, cols)
+    weight = Fraction(prod(binomial(g.n, j) for j in cols), prod(binomial(g.n, i) for i in rows))
     plists = [[_paths(g, g.sources[i], g.sinks[j]) for j in cols] for i in rows]
     psets = [[[frozenset(p) for p in pl] for pl in row] for row in plists]
 
@@ -259,7 +265,7 @@ def nonintersecting_families(
     return identity
 
 
-def _count_families(g: LatticeGraph, rows: Sequence[int], cols: Sequence[int]) -> int:
+def _count_families(n: int, rows: Sequence[int], cols: Sequence[int]) -> int:
     """Number of vertex-disjoint families joining source rows[t] to sink cols[t].
 
     A sweep over the anti-diagonals x + y = s, never listing a family. A
@@ -269,7 +275,7 @@ def _count_families(g: LatticeGraph, rows: Sequence[int], cols: Sequence[int]) -
     every diagonal. Sources lie on s = c; sink j is (c, j), on s = c + j,
     where path t must sit at x = c and is retired.
     """
-    c, k = g.corner, len(rows)
+    c, k = (n + 1) // 2 - 1, len(rows)
     states = {tuple(c - i for i in rows): 1}
     retired, s = 0, c
     while True:
@@ -281,19 +287,19 @@ def _count_families(g: LatticeGraph, rows: Sequence[int], cols: Sequence[int]) -
         s += 1
         moved: dict[tuple[int, ...], int] = {}
         for xs, m in states.items():
-            steps = [[x2 for x2 in (x, x + 1) if (x2, s - x2) in g.vertices] for x in xs]
+            steps = [[x2 for x2 in (x, x + 1) if _inside(n, x2, s - x2)] for x in xs]
             for heads in product(*steps):
                 if all(a > b for a, b in zip(heads, heads[1:])):
                     moved[heads] = moved.get(heads, 0) + m
                 elif len(set(heads)) == len(heads):
                     raise CrossCheckError(
                         f"disjoint paths out of order on x+y={s} "
-                        f"(n={g.n}, rows={rows}, cols={cols})"
+                        f"(n={n}, rows={rows}, cols={cols})"
                     )
         states = moved
 
 
-def minor_via_lgv(g: LatticeGraph, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
+def minor_via_lgv(g: LatticeGraph, rows: Sequence[int], cols: Sequence[int]) -> int:
     """Minor of the path-weight matrix as a sum of disjoint-family weights.
 
     Equals the determinant of the corresponding submatrix of the path
@@ -302,7 +308,7 @@ def minor_via_lgv(g: LatticeGraph, rows: Sequence[int], cols: Sequence[int]) -> 
     """
     rows, cols = list(rows), list(cols)
     check_minor(g.n, rows, cols)
-    return _count_families(g, rows, cols) * _family_weight(g.n, rows, cols)
+    return _weighted(_count_families(g.n, rows, cols), g.n, rows, cols)
 
 
 def export_dot(g: LatticeGraph) -> str:
@@ -313,10 +319,8 @@ def export_dot(g: LatticeGraph) -> str:
     for a in g.arcs:
         tail = f'"({a.tail[0]},{a.tail[1]})"'
         head = f'"({a.head[0]},{a.head[1]})"'
-        if a.head[0] == a.tail[0]:
-            lines.append(f"  {tail} -> {head} [label=\"{a.weight}\"];")
-        else:
-            lines.append(f"  {tail} -> {head};")
+        label = f' [label="{a.weight}"]' if a.head[0] == a.tail[0] else ""
+        lines.append(f"  {tail} -> {head}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

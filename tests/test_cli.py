@@ -345,7 +345,7 @@ class TestLgvCommand:
         assert "budget" in res.stderr
 
     def test_budget_refused_before_graph(self):
-        # the order-100000 graph would take minutes and gigabytes to build
+        # minor_via_lgv checks the family budget before it walks a path; no graph is built
         res = run_cli("lgv", "--n", "100000", "--verify", "--rows", "0", "--cols", "0", timeout=5)
         assert res.returncode == 1
         assert res.stderr == (
@@ -363,6 +363,15 @@ class TestLgvCommand:
             )
             assert res.stdout == ""
         assert not (tmp_path / "g.dot").exists()
+
+    def test_rows_cols_without_verify_is_usage_error(self, tmp_path, capsys):
+        # they used to be ignored, and the graph printed with exit 0
+        out = tmp_path / "x.dot"
+        for indices in (["--rows", "0"], ["--cols", "1"], ["--rows", "0", "--cols", "1"]):
+            for extra in ([], ["--format", "json"], ["--format", "dot"], ["--dot", str(out)]):
+                assert cli.main(["lgv", "--n", "8", *indices, *extra]) == 2
+                assert capsys.readouterr() == ("", "usage error: --rows and --cols require --verify\n")
+        assert not out.exists()
 
     def test_json_graph(self):
         res = run_cli("lgv", "--n", "4", "--format", "json")

@@ -1,10 +1,13 @@
 import json
+import re
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import prod
 
 import pytest
 
+import polytnn.cli as cli
 import polytnn.lgv as lgv
 from polytnn import (
     BudgetExceededError,
@@ -22,7 +25,7 @@ from polytnn import (
     path_weight_sum,
     vertical_weight,
 )
-from polytnn.lgv import _count_families, _paths
+from polytnn.lgv import LatticeGraph, _count_families, _inside, _paths, _weighted
 from polytnn.tnn import as_matrix, iter_minors
 from oracles import fraction_path_weight_sums, monotone_paths, region_vertices
 
@@ -86,11 +89,23 @@ class TestGraphShape:
             assert lgv._vertex_count(n) == len(region_vertices(n)), n
         assert lgv._vertex_count(315) <= lgv.GRAPH_BUDGET < lgv._vertex_count(316)
 
+    def test_inside_is_the_region(self):
+        for n in range(2, 13):
+            box = range(-(n + 2), n + 2)
+            assert {(x, y) for x in box for y in box if _inside(n, x, y)} == region_vertices(n)
+
+    def test_graph_is_its_order(self):
+        assert [f.name for f in fields(LatticeGraph)] == ["n"]
+        g = lattice_graph(8)
+        assert g == LatticeGraph(8)
+        assert g.vertices is g.vertices  # built once, on first read
+        assert g.arcs is g.arcs
+
     def test_graph_budget(self, monkeypatch):
         monkeypatch.setattr(lgv, "GRAPH_BUDGET", 25)  # order 9 has 25 vertices, order 10 has 30
         assert len(lattice_graph(9).vertices) == 25
         with pytest.raises(BudgetExceededError, match="order 10 has 30 vertices, over the budget of 25"):
-            lattice_graph(10)
+            lattice_graph(10).vertices
         with pytest.raises(ValueError, match="n must be >= 2"):
             lattice_graph(1)
 
@@ -278,22 +293,21 @@ class TestFamilyCount:
                 for rows in combinations(range(height), order):
                     for cols in combinations(range(n), order):
                         fams = nonintersecting_families(g, rows, cols)
-                        assert _count_families(g, rows, cols) == len(fams), (n, rows, cols)
+                        assert _count_families(n, rows, cols) == len(fams), (n, rows, cols)
 
     def test_every_minor_past_the_listing_budget(self):
         # count * prod C(n,J) == det * prod C(n,I), at every order
         for n in range(2, 12):
-            g = lattice_graph(n)
             for order in range(1, (n + 1) // 2 + 1):
                 for w in iter_minors(path_matrix(n), order):
-                    count = _count_families(g, w.rows, w.cols)
+                    count = _count_families(n, w.rows, w.cols)
                     lhs = count * prod(binomial(n, j) for j in w.cols)
                     assert lhs == w.value * prod(binomial(n, i) for i in w.rows), (n, w)
 
     def test_paths_out_of_order_are_a_cross_check_failure(self):
         # sources listed bottom-up would have to cross: the sweep must say so
         with pytest.raises(CrossCheckError):
-            _count_families(lattice_graph(6), [1, 0], [3, 4])
+            _count_families(6, [1, 0], [3, 4])
 
     def test_counting_keeps_the_listing_budget(self):
         for n, rows in ((8, [0, 1, 2, 3]), (11, [0])):
@@ -329,3 +343,62 @@ class TestExport:
         # must be plain-JSON serializable
         text = json.dumps(obj, sort_keys=True)
         assert json.loads(text) == obj
+
+
+class TestGraphFree:
+    """The path kernels test points with _inside and never build the graph."""
+
+    @pytest.fixture
+    def no_graph(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"the graph of order {self.n} was built")
+
+        monkeypatch.setattr(LatticeGraph, "vertices", property(refuse))
+        monkeypatch.setattr(LatticeGraph, "arcs", property(refuse))
+
+    def test_kernels_agree_without_the_graph(self, no_graph):
+        for n in range(2, 9):
+            g = lattice_graph(n)
+            height = (n + 1) // 2
+            for i in range(height):
+                for j in range(n):
+                    assert path_weight_sum(g, i, j) == path_weight_closed_form(n, i, j), (n, i, j)
+            w = as_matrix(path_matrix(n))
+            for order in range(1, min(3, height) + 1):
+                for rows in combinations(range(height), order):
+                    for cols in combinations(range(n), order):
+                        det = determinant(w.submatrix(rows, cols))
+                        assert minor_via_lgv(g, rows, cols) == det, (n, rows, cols)
+                        fams = nonintersecting_families(g, rows, cols)
+                        assert sum(f.weight for f in fams) == det, (n, rows, cols)
+
+    def test_cli_verify_without_the_graph(self, no_graph, capsys):
+        w = as_matrix(path_matrix(9))
+        for rows, cols in (((0,), (4,)), ((0, 2), (3, 7)), ((1, 2, 4), (2, 5, 8))):
+            det = determinant(w.submatrix(rows, cols))
+            argv = ["lgv", "--n", "9", "--verify", "--rows", ",".join(map(str, rows)),
+                    "--cols", ",".join(map(str, cols))]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == f"det={det}, lgv={det}, equal\n"
+
+    def test_path_sums_past_the_graph_budget(self):
+        g = lattice_graph(400)  # 40,200 vertices, over GRAPH_BUDGET
+        for i, j in ((0, 0), (0, 399), (3, 17), (100, 250), (199, 399), (150, 120)):
+            assert path_weight_sum(g, i, j) == path_weight_closed_form(400, i, j), (i, j)
+
+    def test_output_refused_past_the_graph_budget(self):
+        g = lattice_graph(316)
+        message = re.escape("the lattice graph of order 316 has 25122 vertices, over the budget of 25000")
+        for build in (lambda: g.vertices, lambda: g.arcs, lambda: export_dot(g), lambda: graph_json_obj(g)):
+            with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+                build()
+
+    def test_minor_is_an_int(self):
+        total = minor_via_lgv(lattice_graph(4), [0, 1], [1, 2])
+        assert type(total) is int and total == 6
+
+    def test_weight_exactness_is_checked(self):
+        # one path from source 1 to sink 0 would weigh C(4,0)/C(4,1) = 1/4
+        message = r"^n=4, rows=\[1\], cols=\[0\]: lgv weight 1/4 is not an integer$"
+        with pytest.raises(CrossCheckError, match=message):
+            _weighted(1, 4, [1], [0])
