@@ -76,6 +76,11 @@ def cmd_matrix(args) -> int:
     return 0
 
 
+def _emit(args, obj, text: str) -> None:
+    """Print `obj` as sorted-key JSON for --format json, else `text`."""
+    print(json.dumps(obj, sort_keys=True) if args.format == "json" else text)
+
+
 def _load_matrix_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -95,57 +100,40 @@ def cmd_tnn(args) -> int:
     else:
         mat = as_matrix(_load_matrix_file(args.file))
     report = is_totally_nonnegative(mat, max_order=args.max_order, jobs=args.jobs)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(f"is_tnn: {'true' if report.is_tnn else 'false'}")
-        print(f"minors_checked: {report.minors_checked}")
-        print(f"min_minor: {report.min_minor}")
-        if report.witness is not None:
-            w = report.witness
-            print(
-                f"witness: rows={_index_set(w.rows)} cols={_index_set(w.cols)} "
-                f"value={w.value}"
-            )
+    lines = [
+        f"is_tnn: {'true' if report.is_tnn else 'false'}",
+        f"minors_checked: {report.minors_checked}",
+        f"min_minor: {report.min_minor}",
+    ]
+    if report.witness is not None:
+        w = report.witness
+        lines.append(f"witness: rows={_index_set(w.rows)} cols={_index_set(w.cols)} value={w.value}")
+    _emit(args, report.to_json_obj(), "\n".join(lines))
     return 0 if report.is_tnn else 3
 
 
-def _print_vector(values, key: str, d: int, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps({"d": d, key: list(values)}, sort_keys=True))
-    else:
-        print(",".join(str(v) for v in values))
-
-
 def cmd_f2g(args) -> int:
-    g = f_to_g(FVector(args.d, args.f))
-    _print_vector(g.values, "g", args.d, args.format)
+    g = f_to_g(FVector(args.d, args.f)).values
+    _emit(args, {"d": args.d, "g": list(g)}, ",".join(map(str, g)))
     return 0
 
 
 def cmd_g2f(args) -> int:
-    f = g_to_f(GVector(args.d, args.g))
-    _print_vector(f.counts, "f", args.d, args.format)
+    f = g_to_f(GVector(args.d, args.g)).counts
+    _emit(args, {"d": args.d, "f": list(f)}, ",".join(map(str, f)))
     return 0
 
 
 def cmd_euler(args) -> int:
     ok = euler_check(FVector(args.d, args.f))
-    if args.format == "json":
-        print(json.dumps({"d": args.d, "euler": ok}, sort_keys=True))
-    else:
-        print("true" if ok else "false")
+    _emit(args, {"d": args.d, "euler": ok}, "true" if ok else "false")
     return 0
 
 
 def cmd_feasible(args) -> int:
     verdict = is_polytopal(FVector(args.d, args.f))
-    if args.format == "json":
-        print(json.dumps(verdict.to_json_obj(), sort_keys=True))
-    elif verdict.passed:
-        print("pass")
-    else:
-        print(f"fail, condition={verdict.failed_condition}")
+    text = "pass" if verdict.passed else f"fail, condition={verdict.failed_condition}"
+    _emit(args, verdict.to_json_obj(), text)
     return 0
 
 
@@ -158,22 +146,14 @@ def cmd_msequence(args) -> int:
                 f"is_m_sequence says {verdict.ok} but the multicomplex oracle "
                 f"says {agreed} for {','.join(map(str, args.seq))}"
             )
-    if args.format == "json":
-        obj = {
-            "is_m_sequence": verdict.ok,
-            "witness_k": verdict.k,
-            "boundary_value": verdict.boundary_value,
-        }
-        print(json.dumps(obj, sort_keys=True))
-    elif verdict.ok:
-        print("true")
+    if verdict.ok:
+        text = "true"
     elif verdict.boundary_value is None:
-        print(f"false, k={verdict.k}")
+        text = f"false, k={verdict.k}"
     else:
-        print(
-            f"false, k={verdict.k}, boundary={verdict.boundary_value}, "
-            f"bound={verdict.bound}"
-        )
+        text = f"false, k={verdict.k}, boundary={verdict.boundary_value}, bound={verdict.bound}"
+    obj = {"is_m_sequence": verdict.ok, "witness_k": verdict.k, "boundary_value": verdict.boundary_value}
+    _emit(args, obj, text)
     return 0
 
 
@@ -183,6 +163,9 @@ def cmd_lgv(args) -> int:
         raise UsageError("--verify requires --rows and --cols")
     if not args.verify and (args.rows is not None or args.cols is not None):
         raise UsageError("--rows and --cols require --verify")
+    if args.format != "text" and (args.verify or args.dot is not None):
+        route = "--verify" if args.verify else "--dot"
+        raise UsageError(f"--format {args.format} does not apply to {route}")
     if args.dot is not None:
         text = export_dot(graph)  # before the file is opened, so a refusal writes none
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -245,29 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, choices=("text", "json"))
     p.set_defaults(func=cmd_tnn)
 
-    p = sub.add_parser("f2g", help="face counts to the g-vector")
-    p.add_argument("--f", type=_int_list, required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_f2g)
-
-    p = sub.add_parser("g2f", help="g-vector to face counts")
-    p.add_argument("--g", type=_int_list, required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_g2f)
-
-    p = sub.add_parser("euler", help="test the alternating face-count sum")
-    p.add_argument("--f", type=_int_list, required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_format(p, choices=("text", "json"))
-    p.set_defaults(func=cmd_euler)
-
-    p = sub.add_parser("feasible", help="test whether f is a polytope f-vector")
-    p.add_argument("--f", type=_int_list, required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_format(p, choices=("text", "json"))
-    p.set_defaults(func=cmd_feasible)
+    for name, vector, formats, func, summary in (
+        ("f2g", "--f", ("text", "csv", "json"), cmd_f2g, "face counts to the g-vector"),
+        ("g2f", "--g", ("text", "csv", "json"), cmd_g2f, "g-vector to face counts"),
+        ("euler", "--f", ("text", "json"), cmd_euler, "test the alternating face-count sum"),
+        ("feasible", "--f", ("text", "json"), cmd_feasible, "test whether f is a polytope f-vector"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(vector, type=_int_list, required=True)
+        p.add_argument("--d", type=int, required=True)
+        _add_format(p, formats)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("msequence", help="test a sequence for the M-property")
     p.add_argument("--seq", type=_int_list, required=True)

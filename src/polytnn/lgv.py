@@ -21,7 +21,8 @@ rows I and columns J therefore weighs prod C(n,J) / prod C(n,I), and the
 minor is that constant times the number of families, which an integer
 sweep over the anti-diagonals counts without listing them.
 
-Every path kernel tests points with the one region test _inside(n, x, y).
+The path count and the vertex set walk each column x over its heights
+c-x..x+floor(n/2); the other path kernels test points with _inside(n, x, y).
 A LatticeGraph is just its order: its vertices and Fraction arcs are built
 on first read, for output only, and GRAPH_BUDGET refuses that build.
 """
@@ -167,10 +168,11 @@ def path_weight_sum(g: LatticeGraph, i: int, j: int) -> int:
     """
     _check_indices(g.n, i, j)
     (x0, y0), (x1, y1) = g.sources[i], g.sinks[j]
+    n, c = g.n, g.corner
     count = {(x0, y0): 1}
     for x in range(x0, x1 + 1):
-        for y in range(y0, y1 + 1):
-            if _inside(g.n, x, y) and (x, y) != (x0, y0):
+        for y in range(max(y0, c - x), min(y1, x + n // 2) + 1):  # column x's heights in the region
+            if (x, y) != (x0, y0):
                 count[x, y] = count.get((x - 1, y), 0) + count.get((x, y - 1), 0)
     return _weighted(count.get((x1, y1), 0), g.n, [i], [j])
 

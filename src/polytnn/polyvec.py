@@ -53,7 +53,7 @@ class FVector:
                 f"FVector: need exactly d = {self.d} entries (f_0..f_{self.d - 1}), got {len(self.counts)}"
             )
         for c in self.counts:
-            if not isinstance(c, int) or c < 1:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
                 raise ValueError(f"FVector: face counts must be integers >= 1, got {c!r}")
 
 

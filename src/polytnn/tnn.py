@@ -15,7 +15,6 @@ iter_minors eliminates each minor on its own (Bareiss).
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import signal
@@ -168,9 +167,6 @@ class TnnReport:
                 "value": num(self.witness.value),
             }
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 @lru_cache(maxsize=64)  # a scan in SCAN_BUDGET has at most 12 orders: C(26, 13) > 10**7

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -373,11 +374,114 @@ class TestLgvCommand:
                 assert capsys.readouterr() == ("", "usage error: --rows and --cols require --verify\n")
         assert not out.exists()
 
+    def test_format_with_verify_or_dot_is_usage_error(self, tmp_path, capsys):
+        # --verify and --dot have one output each; a --format json/dot beside them used to be ignored
+        out = tmp_path / "x.dot"
+        for route, name in ((["--verify", "--rows", "0", "--cols", "1"], "--verify"), (["--dot", str(out)], "--dot")):
+            for fmt in ("json", "dot"):
+                assert cli.main(["lgv", "--n", "8", *route, "--format", fmt]) == 2
+                assert capsys.readouterr() == ("", f"usage error: --format {fmt} does not apply to {name}\n")
+        assert not out.exists()
+        # the default text format still runs both routes
+        assert cli.main(["lgv", "--n", "8", "--verify", "--rows", "0", "--cols", "1", "--format", "text"]) == 0
+        assert capsys.readouterr().out == "det=8, lgv=8, equal\n"
+        assert cli.main(["lgv", "--n", "8", "--dot", str(out), "--format", "text"]) == 0
+        assert out.read_text().startswith("digraph lattice8 {")
+
     def test_json_graph(self):
         res = run_cli("lgv", "--n", "4", "--format", "json")
         obj = json.loads(res.stdout)
         assert obj["n"] == 4
         assert len(obj["vertices"]) == 6
+
+
+class TestParserAndWriter:
+    # every subcommand's actions, in order: (option strings, required, choices, default)
+    SHAPE = {
+        "matrix": [
+            (["-h", "--help"], False, None, argparse.SUPPRESS),
+            (["--d"], False, None, None),
+            (["--n"], False, None, None),
+            (["--augmented"], False, None, False),
+            (["--format"], False, ("text", "csv", "json"), "text"),
+        ],
+        "tnn": [
+            (["-h", "--help"], False, None, argparse.SUPPRESS),
+            (["--d"], False, None, None),
+            (["--n"], False, None, None),
+            (["--file"], False, None, None),
+            (["--max-order"], False, None, None),
+            (["--jobs"], False, None, 1),
+            (["--format"], False, ("text", "json"), "text"),
+        ],
+        **{
+            name: [
+                (["-h", "--help"], False, None, argparse.SUPPRESS),
+                ([vector], True, None, None),
+                (["--d"], True, None, None),
+                (["--format"], False, formats, "text"),
+            ]
+            for name, vector, formats in (
+                ("f2g", "--f", ("text", "csv", "json")),
+                ("g2f", "--g", ("text", "csv", "json")),
+                ("euler", "--f", ("text", "json")),
+                ("feasible", "--f", ("text", "json")),
+            )
+        },
+        "msequence": [
+            (["-h", "--help"], False, None, argparse.SUPPRESS),
+            (["--seq"], True, None, None),
+            (["--oracle"], False, None, False),
+            (["--format"], False, ("text", "json"), "text"),
+        ],
+        "lgv": [
+            (["-h", "--help"], False, None, argparse.SUPPRESS),
+            (["--n"], True, None, None),
+            (["--verify"], False, None, False),
+            (["--rows"], False, None, None),
+            (["--cols"], False, None, None),
+            (["--dot"], False, None, None),
+            (["--format"], False, ("text", "json", "dot"), "text"),
+        ],
+    }
+
+    def test_parser_shape(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        shape = {
+            name: [(a.option_strings, a.required, a.choices, a.default) for a in p._actions]
+            for name, p in sub.choices.items()
+        }
+        assert list(shape) == list(self.SHAPE)
+        assert shape == self.SHAPE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix", "--d", "3"],
+            ["tnn", "--d", "5"],
+            ["tnn", "--file", "NEGATIVE"],
+            ["f2g", "--f", "6,12,8", "--d", "3"],
+            ["g2f", "--g", "1,2", "--d", "3"],
+            ["euler", "--f", "4,6,5", "--d", "3"],
+            ["feasible", "--f", "4,6,5", "--d", "3"],
+            ["feasible", "--f", "6,12,8", "--d", "3"],
+            ["msequence", "--seq", "1,3,6,10"],
+            ["msequence", "--seq", "1,2,4"],
+            ["lgv", "--n", "4"],
+        ],
+        ids=" ".join,
+    )
+    def test_json_is_one_sorted_line(self, argv, tmp_path, capsys):
+        negative = tmp_path / "negative.csv"
+        negative.write_text("1,2\n3,1\n")
+        argv = [str(negative) if a == "NEGATIVE" else a for a in argv]
+        assert cli.main([*argv, "--format", "json"]) in (0, 3)
+        out, err = capsys.readouterr()
+        (line,) = out.splitlines()
+        assert out == line + "\n"
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+        assert err == ""
 
 
 class TestGlobalBehavior:

@@ -235,6 +235,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             FVector(2, (0, 3))
 
+    def test_f_vector_bool_rejected(self):
+        # bool is an int subclass; ExactMatrix refuses it as an entry too
+        with pytest.raises(ValueError, match="True"):
+            FVector(2, (True, True))
+        with pytest.raises(ValueError):
+            FVector(3, (4, 6, True))
+
     def test_g_vector_length_checked(self):
         with pytest.raises(ValueError, match="3"):
             GVector(4, (1, 2))
