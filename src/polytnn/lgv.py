@@ -29,7 +29,6 @@ on first read, for output only, and GRAPH_BUDGET refuses that build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import permutations, product
@@ -91,9 +90,9 @@ def _vertex_count(n: int) -> int:
     return ((n + 1) // 2) * (n // 2 + 1)
 
 
-@dataclass(frozen=True)
-class LatticeGraph:
-    n: int
+class LatticeGraph(NamedTuple("LatticeGraph", [("n", int)])):
+    """The graph of order n; no __slots__, so the cached vertices and arcs
+    have a __dict__ to live in."""
 
     @property
     def corner(self) -> int:
@@ -198,8 +197,7 @@ def _paths(g: LatticeGraph, src: Vertex, dst: Vertex) -> tuple[tuple[Vertex, ...
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(NamedTuple):
     """Pairwise vertex-disjoint paths, one per (source, sink) pair, with weight."""
 
     paths: tuple[tuple[Vertex, ...], ...]

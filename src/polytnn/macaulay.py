@@ -17,10 +17,9 @@ search and exists to keep the fast arithmetic test honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError
 from .exactnum import binomial
@@ -39,8 +38,7 @@ __all__ = [
 ORACLE_WORK_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class MacaulayExpansion:
+class MacaulayExpansion(NamedTuple):
     """The greedy k-binomial expansion of a positive integer.
 
     terms holds (a, idx) pairs meaning C(a, idx), with idx strictly
@@ -95,8 +93,7 @@ def boundary(value: int, k: int) -> int:
     return sum(binomial(a - 1, t - 1) for a, t in macaulay_expand(value, k).terms)
 
 
-@dataclass(frozen=True)
-class MSequenceVerdict:
+class MSequenceVerdict(NamedTuple):
     """Outcome of is_m_sequence, truthy iff the sequence passed.
 
     On failure, k is the first violating index (0 when n_0 != 1),

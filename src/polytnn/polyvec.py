@@ -16,8 +16,7 @@ first failed condition with a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import binomial
 from .macaulay import MSequenceVerdict, is_m_sequence
@@ -37,59 +36,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FVector:
+def _check_ints(what: str, values: tuple) -> None:
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{what}: entries must be integers, got {v!r}")
+
+
+class FVector(NamedTuple("FVector", [("d", int), ("counts", tuple)])):
     """Face counts (f_0, ..., f_{d-1}) of a candidate simplicial d-polytope."""
 
-    d: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"FVector: d must be >= 1, got {self.d}")
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if len(self.counts) != self.d:
-            raise ValueError(
-                f"FVector: need exactly d = {self.d} entries (f_0..f_{self.d - 1}), got {len(self.counts)}"
-            )
-        for c in self.counts:
+    def __new__(cls, d: int, counts: tuple[int, ...]):
+        if d < 1:
+            raise ValueError(f"FVector: d must be >= 1, got {d}")
+        counts = tuple(counts)
+        if len(counts) != d:
+            raise ValueError(f"FVector: need exactly d = {d} entries (f_0..f_{d - 1}), got {len(counts)}")
+        for c in counts:
             if not isinstance(c, int) or isinstance(c, bool) or c < 1:
                 raise ValueError(f"FVector: face counts must be integers >= 1, got {c!r}")
+        return super().__new__(cls, d, counts)
 
 
-@dataclass(frozen=True)
-class HVector:
+class HVector(NamedTuple("HVector", [("d", int), ("values", tuple)])):
     """The full h-vector (h_0, ..., h_d); h_0 = 1 when derived from faces."""
 
-    d: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"HVector: d must be >= 1, got {self.d}")
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.d + 1:
-            raise ValueError(
-                f"HVector: need exactly d + 1 = {self.d + 1} entries, got {len(self.values)}"
-            )
+    def __new__(cls, d: int, values: tuple[int, ...]):
+        if d < 1:
+            raise ValueError(f"HVector: d must be >= 1, got {d}")
+        values = tuple(values)
+        if len(values) != d + 1:
+            raise ValueError(f"HVector: need exactly d + 1 = {d + 1} entries, got {len(values)}")
+        _check_ints("HVector", values)
+        return super().__new__(cls, d, values)
 
 
-@dataclass(frozen=True)
-class GVector:
+class GVector(NamedTuple("GVector", [("d", int), ("values", tuple)])):
     """The half-vector (g_0, ..., g_{floor(d/2)}) of successive h differences."""
 
-    d: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"GVector: d must be >= 1, got {self.d}")
-        object.__setattr__(self, "values", tuple(self.values))
-        want = self.d // 2 + 1
-        if len(self.values) != want:
+    def __new__(cls, d: int, values: tuple[int, ...]):
+        if d < 1:
+            raise ValueError(f"GVector: d must be >= 1, got {d}")
+        values = tuple(values)
+        if len(values) != d // 2 + 1:
             raise ValueError(
-                f"GVector: need exactly floor(d/2) + 1 = {want} entries for d = {self.d}, got {len(self.values)}"
+                f"GVector: need exactly floor(d/2) + 1 = {d // 2 + 1} entries for d = {d}, got {len(values)}"
             )
+        _check_ints("GVector", values)
+        return super().__new__(cls, d, values)
 
 
 def f_to_h(f: FVector) -> HVector:
@@ -144,8 +143,7 @@ def euler_check(f: FVector) -> bool:
     return total == 0
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     """Outcome of is_polytopal, truthy iff the f-vector is realizable.
 
     failed_condition names the first check that failed, in the fixed

@@ -15,11 +15,9 @@ iter_minors eliminates each minor on its own (Bareiss).
 
 from __future__ import annotations
 
+import marshal
 import os
-import pickle
-import signal
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
@@ -47,24 +45,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(NamedTuple("ExactMatrix", [("entries", tuple)])):
     """Immutable rectangular matrix over int/Fraction."""
 
-    entries: tuple[tuple[Scalar, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __new__(cls, entries: tuple[tuple[Scalar, ...], ...]):
+        if not entries:
             raise ValueError("matrix must have at least one row")
-        width = len(self.entries[0])
+        width = len(entries[0])
         if width == 0:
             raise ValueError("matrix rows must be nonempty")
-        for row in self.entries:
+        for row in entries:
             if len(row) != width:
                 raise ValueError("matrix rows must all have the same length")
             for x in row:
                 if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
                     raise ValueError(f"matrix entries must be int or Fraction, got {x!r}")
+        return super().__new__(cls, entries)
 
     @property
     def rows(self) -> int:
@@ -138,8 +136,7 @@ class MinorWitness(NamedTuple):
     value: Scalar
 
 
-@dataclass(frozen=True)
-class TnnReport:
+class TnnReport(NamedTuple):
     """Outcome of a full minor scan."""
 
     is_tnn: bool
@@ -238,7 +235,7 @@ def iter_minors(m, order: int):
 
 def _scan_top(ints, scales, wide: bool, max_order: int, tops) -> tuple:
     """The walker's (least, its scale, first negative or None) over the line sets
-    whose top line is in tops: ints and tuples, which a child pickles."""
+    whose top line is in tops: ints and tuples, which a child sends by marshal."""
     return _walker(len(ints[0]), max_order)(ints, scales, tops, wide)
 
 
@@ -257,7 +254,7 @@ def _shares(lines: int, short: int, max_order: int, workers: int) -> list[list[i
 
 
 def _fork(scan, share) -> tuple:
-    """Fork a child that writes pickle(scan(share)) to a pipe, or its traceback to
+    """Fork a child that writes marshal(scan(share)) to a pipe, or its traceback to
     stderr, and leaves by os._exit, so no inherited stdout buffer or atexit handler
     runs twice; return (its pid, the pipe's read end)."""
     read, write = os.pipe()
@@ -272,7 +269,7 @@ def _fork(scan, share) -> tuple:
         try:
             os.close(read)
             with open(write, "wb") as pipe:
-                pickle.dump(scan(share), pipe)
+                marshal.dump(scan(share), pipe)
             code = 0
         except BaseException:  # the caller only sees the exit code: show the cause here
             import traceback  # only a failing child pays for the import
@@ -297,6 +294,8 @@ def _fork_map(scan, shares) -> list:
         mine = scan(shares[0])
         sent = [pipe.read() for _, pipe in children]
     except BaseException:
+        import signal  # only a failing scan pays for the import
+
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
@@ -308,7 +307,7 @@ def _fork_map(scan, shares) -> list:
         if code or not data:
             how = f"died by signal {-code}" if code < 0 else f"exited with code {code}" if code else "sent no result"
             raise ChildProcessError(f"scan worker {pid} {how}")
-    return [mine] + [pickle.loads(data) for data in sent]
+    return [mine] + [marshal.loads(data) for data in sent]
 
 
 def check_scan(rows: int, cols: int, max_order: Optional[int] = None, jobs: int = 1) -> tuple[int, int]:

@@ -13,9 +13,9 @@ transfer matrix matches the entry formula indexed by dimension.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exactnum import binomial
 
@@ -46,18 +46,17 @@ def _rows_csv(entries) -> str:
     return "".join(",".join(str(e) for e in row) + "\n" for row in entries)
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(NamedTuple("TransferMatrix", [("d", int), ("entries", tuple)])):
     """floor(d/2)+1 by d integer matrix mapping g-vectors to f-vectors."""
 
-    d: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"TransferMatrix: d must be >= 1, got {self.d}")
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
-        _check_grid(self.entries, self.d // 2 + 1, self.d, "TransferMatrix")
+    def __new__(cls, d: int, entries: tuple[tuple[int, ...], ...]):
+        if d < 1:
+            raise ValueError(f"TransferMatrix: d must be >= 1, got {d}")
+        entries = tuple(tuple(r) for r in entries)
+        _check_grid(entries, d // 2 + 1, d, "TransferMatrix")
+        return super().__new__(cls, d, entries)
 
     @property
     def rows(self) -> int:
@@ -75,18 +74,17 @@ class TransferMatrix:
         return json.dumps(obj, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class PathMatrix:
+class PathMatrix(NamedTuple("PathMatrix", [("n", int), ("entries", tuple)])):
     """ceil(n/2) by n integer matrix of lattice-path weight sums."""
 
-    n: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"PathMatrix: n must be >= 2, got {self.n}")
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
-        _check_grid(self.entries, (self.n + 1) // 2, self.n, "PathMatrix")
+    def __new__(cls, n: int, entries: tuple[tuple[int, ...], ...]):
+        if n < 2:
+            raise ValueError(f"PathMatrix: n must be >= 2, got {n}")
+        entries = tuple(tuple(r) for r in entries)
+        _check_grid(entries, (n + 1) // 2, n, "PathMatrix")
+        return super().__new__(cls, n, entries)
 
     @property
     def rows(self) -> int:

@@ -493,6 +493,14 @@ class TestGlobalBehavior:
         res = run_cli("frobnicate")
         assert res.returncode == 2
 
+    def test_import_loads_no_dataclasses_inspect_pickle_or_signal(self):
+        # only the modules importing polytnn.cli adds count: a site may preload any of these
+        script = "import sys; before = set(sys.modules); import polytnn.cli; print(*sorted(set(sys.modules) - before))"
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+        loaded = set(res.stdout.split())
+        assert "polytnn.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "pickle", "signal"}
+
     def test_determinism_across_runs(self):
         a = run_cli("lgv", "--n", "7", "--format", "json").stdout
         b = run_cli("lgv", "--n", "7", "--format", "json").stdout

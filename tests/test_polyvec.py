@@ -250,6 +250,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             HVector(3, (1, 1, 1))
 
+    def test_g_and_h_entries_are_ints_not_bools(self):
+        with pytest.raises(ValueError, match=r"GVector: entries must be integers, got 1\.5"):
+            GVector(3, (1.5, "x"))
+        with pytest.raises(ValueError, match="GVector: entries must be integers, got True"):
+            g_to_f(GVector(3, (True, True)))
+        with pytest.raises(ValueError, match="HVector: entries must be integers, got '1'"):
+            HVector(1, (1, "1"))
+        with pytest.raises(ValueError, match="HVector: entries must be integers, got False"):
+            HVector(1, (1, False))
+
+    def test_g_and_h_entries_may_be_negative(self):
+        # f_to_g of a non-polytopal f can go negative; is_polytopal reports it
+        assert GVector(3, (1, -2)).values == (1, -2)
+        assert HVector(2, (1, -1, 0)).values == (1, -1, 0)
+        verdict = is_polytopal(FVector(3, (3, 3, 2)))
+        assert (verdict.failed_condition, verdict.g) == ("nonneg", GVector(3, (1, -1)))
+
 
 @given(st.integers(1, 12), st.data())
 def test_round_trip_property(d, data):

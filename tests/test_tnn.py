@@ -58,7 +58,7 @@ def share_report(rows, max_order, tops):
     into (least minor, MinorWitness or None), for comparison with bareiss_scan."""
     ints, scales, wide = tnn._clear(as_matrix(rows))
     got = tnn._scan_top(ints, scales, wide, max_order, tops)
-    assert plain(got), got  # what a forked child pickles
+    assert plain(got), got  # what a forked child sends by marshal
     least, scale, first = got
     witness = None
     if first is not None:
@@ -315,6 +315,16 @@ class TestIsTotallyNonnegative:
     def test_parallel_witness_identical(self, fork_always):
         m = ExactMatrix(((1, 2, -1), (3, 4, 0), (5, 9, 1)))
         assert is_totally_nonnegative(m, jobs=2) == is_totally_nonnegative(m)
+
+    @pytest.mark.parametrize("value", [-(2**80 + 1), Fraction(-(2**80 + 1), 3**41)])
+    def test_forked_share_sends_big_values_unchanged(self, fork_always, value):
+        # rows 1 and 2 are zero, so the least minor and the witness are row 0's first
+        # entry, in the share of top rows [1, 0] that a child scans for jobs=2
+        m = ExactMatrix(((value, 0, 0), (0, 0, 0), (0, 0, 0)))
+        report = is_totally_nonnegative(m, jobs=2)
+        assert fork_always == [[1, 0]]
+        assert report == TnnReport(False, 19, value, MinorWitness((0,), (0,), value))
+        assert report == is_totally_nonnegative(m)
 
     def test_submatrix_inherits_from_path_matrix(self):
         # stripping the unit first column of a passing W gives M, whose
