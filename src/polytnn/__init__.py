@@ -8,107 +8,16 @@ two independent ways: exhaustive minor enumeration and non-intersecting
 lattice-path families.
 """
 
-from .errors import BudgetExceededError, CrossCheckError
-from .exactnum import Rational, ballot_paths, binomial
-from .lgv import (
-    Arc,
-    LatticeGraph,
-    PathFamily,
-    export_dot,
-    graph_json_obj,
-    lattice_graph,
-    minor_via_lgv,
-    nonintersecting_families,
-    path_weight_closed_form,
-    path_weight_sum,
-    vertical_weight,
-)
-from .macaulay import (
-    MacaulayExpansion,
-    MSequenceVerdict,
-    boundary,
-    is_m_sequence,
-    macaulay_expand,
-    oracle_is_m_sequence,
-)
-from .polyvec import (
-    FeasibilityVerdict,
-    FVector,
-    GVector,
-    HVector,
-    euler_check,
-    f_to_g,
-    f_to_h,
-    g_to_f,
-    h_to_g,
-    is_polytopal,
-)
-from .tnn import (
-    ExactMatrix,
-    MinorWitness,
-    TnnReport,
-    as_matrix,
-    determinant,
-    is_totally_nonnegative,
-    iter_minors,
-)
-from .transfer import (
-    PathMatrix,
-    TransferMatrix,
-    parse_matrix_csv,
-    parse_matrix_json,
-    path_matrix,
-    strip_leading_column,
-    transfer_matrix,
-)
+from . import errors, exactnum, lgv, macaulay, polyvec, tnn, transfer
+from .errors import *
+from .exactnum import *
+from .lgv import *
+from .macaulay import *
+from .polyvec import *
+from .tnn import *
+from .transfer import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arc",
-    "BudgetExceededError",
-    "CrossCheckError",
-    "ExactMatrix",
-    "FVector",
-    "FeasibilityVerdict",
-    "GVector",
-    "HVector",
-    "LatticeGraph",
-    "MSequenceVerdict",
-    "MacaulayExpansion",
-    "MinorWitness",
-    "PathFamily",
-    "PathMatrix",
-    "Rational",
-    "TnnReport",
-    "TransferMatrix",
-    "as_matrix",
-    "ballot_paths",
-    "binomial",
-    "boundary",
-    "determinant",
-    "euler_check",
-    "export_dot",
-    "f_to_g",
-    "f_to_h",
-    "g_to_f",
-    "graph_json_obj",
-    "h_to_g",
-    "is_m_sequence",
-    "is_polytopal",
-    "is_totally_nonnegative",
-    "iter_minors",
-    "lattice_graph",
-    "macaulay_expand",
-    "minor_via_lgv",
-    "nonintersecting_families",
-    "oracle_is_m_sequence",
-    "parse_matrix_csv",
-    "parse_matrix_json",
-    "path_matrix",
-    "path_weight_closed_form",
-    "path_weight_sum",
-    "strip_leading_column",
-    "transfer_matrix",
-    "vertical_weight",
-]
+# each module's __all__ is the one list of its public names
+__all__ = sorted({name for m in (errors, exactnum, lgv, macaulay, polyvec, tnn, transfer) for name in m.__all__})

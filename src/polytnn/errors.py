@@ -1,5 +1,7 @@
 """Exception types shared across modules."""
 
+__all__ = ["BudgetExceededError", "CrossCheckError"]
+
 
 class BudgetExceededError(ValueError):
     """An exhaustive search was asked to run beyond its documented budget.

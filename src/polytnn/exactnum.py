@@ -2,8 +2,9 @@
 
 Python ints are arbitrary precision already, and fractions.Fraction keeps
 rationals normalized (lowest terms, positive denominator, equality by
-value), so this module only adds the binomial convention and the ballot
-path counts that the rest of the package leans on.
+value), so this module only adds the binomial convention, the ballot
+path counts and the integer-entry check that the rest of the package
+leans on.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
+
+
+def _check_ints(values, message: str, least: int | None = None) -> None:
+    """Refuse the first entry that is not an int, is a bool, or is below least.
+
+    The ValueError reads f"{message}, got {v!r}" for that entry v.
+    """
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool) or (least is not None and v < least):
+            raise ValueError(f"{message}, got {v!r}")
 
 
 def ballot_paths(m: int, n: int, t: int) -> int:

@@ -46,15 +46,10 @@ __all__ = [
     "lattice_graph",
     "vertical_weight",
     "path_weight_sum",
-    "path_weight_closed_form",
-    "check_minor",
     "nonintersecting_families",
     "minor_via_lgv",
     "export_dot",
     "graph_json_obj",
-    "FAMILY_MAX_ORDER",
-    "FAMILY_MAX_N",
-    "GRAPH_BUDGET",
 ]
 
 Vertex = tuple[int, int]

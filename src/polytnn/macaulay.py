@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError
-from .exactnum import binomial
+from .exactnum import _check_ints, binomial
 
 __all__ = [
     "MacaulayExpansion",
@@ -31,7 +31,6 @@ __all__ = [
     "boundary",
     "is_m_sequence",
     "oracle_is_m_sequence",
-    "ORACLE_WORK_CAP",
 ]
 
 # The multicomplex search refuses once it has tested more monomials than this.
@@ -115,9 +114,7 @@ def is_m_sequence(seq: Sequence[int]) -> MSequenceVerdict:
     seq = list(seq)
     if not seq:
         raise ValueError("is_m_sequence: sequence must be nonempty")
-    for e in seq:
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"is_m_sequence: entries must be nonnegative integers, got {e!r}")
+    _check_ints(seq, "is_m_sequence: entries must be nonnegative integers", least=0)
     if seq[0] != 1:
         return MSequenceVerdict(False, k=0)
     for k in range(1, len(seq)):
@@ -172,9 +169,7 @@ def oracle_is_m_sequence(seq: Sequence[int], max_vars: int) -> bool:
     seq = list(seq)
     if not seq:
         raise ValueError("oracle_is_m_sequence: sequence must be nonempty")
-    for e in seq:
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"oracle_is_m_sequence: entries must be nonnegative integers, got {e!r}")
+    _check_ints(seq, "oracle_is_m_sequence: entries must be nonnegative integers", least=0)
     if max_vars < 0:
         raise ValueError(f"oracle_is_m_sequence: max_vars must be >= 0, got {max_vars}")
     # a multicomplex is nonempty and division-closed, so it contains the

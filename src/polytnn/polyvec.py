@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .exactnum import binomial
+from .exactnum import _check_ints, binomial
 from .macaulay import MSequenceVerdict, is_m_sequence
 from .transfer import path_matrix
 
@@ -36,12 +36,6 @@ __all__ = [
 ]
 
 
-def _check_ints(what: str, values: tuple) -> None:
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{what}: entries must be integers, got {v!r}")
-
-
 class FVector(NamedTuple("FVector", [("d", int), ("counts", tuple)])):
     """Face counts (f_0, ..., f_{d-1}) of a candidate simplicial d-polytope."""
 
@@ -53,9 +47,7 @@ class FVector(NamedTuple("FVector", [("d", int), ("counts", tuple)])):
         counts = tuple(counts)
         if len(counts) != d:
             raise ValueError(f"FVector: need exactly d = {d} entries (f_0..f_{d - 1}), got {len(counts)}")
-        for c in counts:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-                raise ValueError(f"FVector: face counts must be integers >= 1, got {c!r}")
+        _check_ints(counts, "FVector: face counts must be integers >= 1", least=1)
         return super().__new__(cls, d, counts)
 
 
@@ -70,7 +62,7 @@ class HVector(NamedTuple("HVector", [("d", int), ("values", tuple)])):
         values = tuple(values)
         if len(values) != d + 1:
             raise ValueError(f"HVector: need exactly d + 1 = {d + 1} entries, got {len(values)}")
-        _check_ints("HVector", values)
+        _check_ints(values, "HVector: entries must be integers")
         return super().__new__(cls, d, values)
 
 
@@ -87,7 +79,7 @@ class GVector(NamedTuple("GVector", [("d", int), ("values", tuple)])):
             raise ValueError(
                 f"GVector: need exactly floor(d/2) + 1 = {d // 2 + 1} entries for d = {d}, got {len(values)}"
             )
-        _check_ints("GVector", values)
+        _check_ints(values, "GVector: entries must be integers")
         return super().__new__(cls, d, values)
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactnum import binomial
+from .exactnum import _check_ints, binomial
 
 __all__ = [
     "TransferMatrix",
@@ -37,9 +37,7 @@ def _check_grid(entries, rows: int, cols: int, what: str) -> None:
     for row in entries:
         if len(row) != cols:
             raise ValueError(f"{what}: expected {cols} columns, got {len(row)}")
-        for e in row:
-            if not isinstance(e, int):
-                raise ValueError(f"{what}: entries must be integers, got {e!r}")
+        _check_ints(row, f"{what}: entries must be integers")
 
 
 def _rows_csv(entries) -> str:

@@ -164,6 +164,11 @@ class TestIsMSequence:
             is_m_sequence([])
         with pytest.raises(ValueError):
             is_m_sequence([1, -1])
+        # bool is an int subclass; both M-sequence tests refuse it
+        with pytest.raises(ValueError, match="^is_m_sequence: entries must be nonnegative integers, got True$"):
+            is_m_sequence([True, True])
+        with pytest.raises(ValueError, match="^oracle_is_m_sequence: entries must be nonnegative integers, got False$"):
+            oracle_is_m_sequence([1, False], 1)
 
 
 class TestOracle:

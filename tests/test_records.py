@@ -99,6 +99,13 @@ def test_verdicts_and_reports_are_truthy_iff_they_pass():
         (lambda: TransferMatrix(1, ((1, 2),)), "TransferMatrix: expected 1 columns, got 2"),
         (lambda: PathMatrix(1, ()), "PathMatrix: n must be >= 2, got 1"),
         (lambda: PathMatrix(2, ((1, 2.0),)), "PathMatrix: entries must be integers, got 2.0"),
+        # bool is an int subclass, and every integer-entry check refuses it
+        (lambda: ExactMatrix(((1, True),)), "matrix entries must be int or Fraction, got True"),
+        (lambda: TransferMatrix(2, ((True, 2), (0, 1))), "TransferMatrix: entries must be integers, got True"),
+        (lambda: PathMatrix(2, ((1, False),)), "PathMatrix: entries must be integers, got False"),
+        (lambda: FVector(3, (4, True, 4)), "FVector: face counts must be integers >= 1, got True"),
+        (lambda: HVector(1, (1, False)), "HVector: entries must be integers, got False"),
+        (lambda: GVector(3, (True, 0)), "GVector: entries must be integers, got True"),
         (lambda: FVector(0, ()), "FVector: d must be >= 1, got 0"),
         (lambda: FVector(3, (4, 6)), r"FVector: need exactly d = 3 entries \(f_0..f_2\), got 2"),
         (lambda: FVector(3, (4, 6, 0)), "FVector: face counts must be integers >= 1, got 0"),
