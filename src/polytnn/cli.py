@@ -94,11 +94,11 @@ def cmd_tnn(args) -> int:
     if args.file is None and n >= 2:  # refuse from the shape before building; n < 2 fails there
         check_scan((n + 1) // 2, n - (args.d is not None), args.max_order, args.jobs)
     if args.d is not None:
-        mat = as_matrix(transfer_matrix(args.d))
+        mat = transfer_matrix(args.d)
     elif args.n is not None:
-        mat = as_matrix(path_matrix(args.n))
+        mat = path_matrix(args.n)
     else:
-        mat = as_matrix(_load_matrix_file(args.file))
+        mat = _load_matrix_file(args.file)
     report = is_totally_nonnegative(mat, max_order=args.max_order, jobs=args.jobs)
     lines = [
         f"is_tnn: {'true' if report.is_tnn else 'false'}",

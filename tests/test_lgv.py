@@ -24,9 +24,9 @@ from polytnn import (
     path_weight_sum,
     vertical_weight,
 )
-from polytnn.lgv import LatticeGraph, _count_families, _inside, _paths, _weighted
+from polytnn.lgv import LatticeGraph, _count_families, _inside, _weighted
 from polytnn.tnn import as_matrix, iter_minors
-from oracles import fraction_path_weight_sums, monotone_paths, region_vertices
+from oracles import disjoint_families, fraction_path_weight_sums, monotone_paths, region_vertices
 
 T2_DOT = (
     "digraph lattice2 {\n"
@@ -186,7 +186,7 @@ class TestPathCounts:
             g = lattice_graph(n)
             for i in range((n + 1) // 2):
                 for j in range(i, n):
-                    got = len(_paths(g, g.sources[i], g.sinks[j]))
+                    got = len(nonintersecting_families(g, [i], [j]))
                     expected = ballot_paths(i, j - i, n - 2 * i) if j > i else 1
                     assert got == expected, (n, i, j)
 
@@ -196,7 +196,7 @@ class TestPathCounts:
             verts = set(g.vertices)
             for i in range((n + 1) // 2):
                 for j in range(n):
-                    ours = _paths(g, g.sources[i], g.sinks[j])
+                    ours = [fam.paths[0] for fam in nonintersecting_families(g, [i], [j])]
                     theirs = monotone_paths(verts, g.sources[i], g.sinks[j])
                     assert sorted(ours) == sorted(theirs)
 
@@ -285,14 +285,17 @@ class TestFamilies:
 
 class TestFamilyCount:
     def test_matches_listing(self):
-        for n in range(2, 11):
+        # the exact list, in order, and the count against every pairing tried
+        for n in range(2, 9):
             g = lattice_graph(n)
             height = (n + 1) // 2
             for order in range(1, min(3, height) + 1):
                 for rows in combinations(range(height), order):
                     for cols in combinations(range(n), order):
+                        want = disjoint_families(g, rows, cols)
                         fams = nonintersecting_families(g, rows, cols)
-                        assert _count_families(n, rows, cols) == len(fams), (n, rows, cols)
+                        assert [fam.paths for fam in fams] == want, (n, rows, cols)
+                        assert _count_families(n, rows, cols) == len(want), (n, rows, cols)
 
     def test_every_minor_past_the_listing_budget(self):
         # count * prod C(n,J) == det * prod C(n,I), at every order
