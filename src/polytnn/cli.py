@@ -198,15 +198,7 @@ def _add_format(parser, choices=("text", "csv", "json")) -> None:
     parser.add_argument("--format", choices=choices, default="text")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="polytnn",
-        description="Exact transfer matrices, face-vector transforms, and "
-        "total-nonnegativity certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("matrix", help="print a transfer or path matrix")
+def _add_matrix(p) -> None:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--d", type=int, help="dimension of the transfer matrix")
     grp.add_argument("--n", type=int, help="order of the path matrix")
@@ -218,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("tnn", help="scan every minor for a negative value")
+
+def _add_tnn(p) -> None:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--d", type=int, help="scan the transfer matrix of dimension d")
     grp.add_argument("--n", type=int, help="scan the path matrix of order n")
@@ -228,19 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, choices=("text", "json"))
     p.set_defaults(func=cmd_tnn)
 
-    for name, vector, formats, func, summary in (
-        ("f2g", "--f", ("text", "csv", "json"), cmd_f2g, "face counts to the g-vector"),
-        ("g2f", "--g", ("text", "csv", "json"), cmd_g2f, "g-vector to face counts"),
-        ("euler", "--f", ("text", "json"), cmd_euler, "test the alternating face-count sum"),
-        ("feasible", "--f", ("text", "json"), cmd_feasible, "test whether f is a polytope f-vector"),
-    ):
-        p = sub.add_parser(name, help=summary)
+
+def _vector_command(vector, formats, func):
+    def add(p) -> None:
         p.add_argument(vector, type=_int_list, required=True)
         p.add_argument("--d", type=int, required=True)
         _add_format(p, formats)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("msequence", help="test a sequence for the M-property")
+    return add
+
+
+def _add_msequence(p) -> None:
     p.add_argument("--seq", type=_int_list, required=True)
     p.add_argument(
         "--oracle",
@@ -250,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, choices=("text", "json"))
     p.set_defaults(func=cmd_msequence)
 
-    p = sub.add_parser("lgv", help="lattice graphs and disjoint-path certificates")
+
+def _add_lgv(p) -> None:
     p.add_argument("--n", type=int, required=True)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--verify", action="store_true")
@@ -260,12 +253,54 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, choices=("text", "json", "dot"))
     p.set_defaults(func=cmd_lgv)
 
+
+# subcommand -> (help summary, a function that adds its arguments and its func)
+_COMMANDS = {
+    "matrix": ("print a transfer or path matrix", _add_matrix),
+    "tnn": ("scan every minor for a negative value", _add_tnn),
+    "f2g": ("face counts to the g-vector", _vector_command("--f", ("text", "csv", "json"), cmd_f2g)),
+    "g2f": ("g-vector to face counts", _vector_command("--g", ("text", "csv", "json"), cmd_g2f)),
+    "euler": ("test the alternating face-count sum", _vector_command("--f", ("text", "json"), cmd_euler)),
+    "feasible": ("test whether f is a polytope f-vector", _vector_command("--f", ("text", "json"), cmd_feasible)),
+    "msequence": ("test a sequence for the M-property", _add_msequence),
+    "lgv": ("lattice graphs and disjoint-path certificates", _add_lgv),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="polytnn",
+        description="Exact transfer matrices, face-vector transforms, and "
+        "total-nonnegativity certificates.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The subcommand's parser alone, with the prog `add_parser` gives it."""
+    parser = argparse.ArgumentParser(prog=f"polytnn {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    # A call that names a subcommand needs only that subcommand's parser:
+    # its usage, help and error text are the same as under the full parser.
+    # Everything else (no command, -h, an unknown command, a leading --, or
+    # arguments the subcommand leaves over) goes to the full parser, which
+    # reports it with the top-level usage.
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except UsageError as exc:

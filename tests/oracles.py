@@ -7,11 +7,13 @@ instead of building minors from smaller ones, Fraction arc weights
 multiplied along the lattice instead of counting paths, every pairing of
 sources to sinks tried instead of an anti-diagonal sweep, a linear search
 for each binomial expansion term instead of bisection, subset counting
-instead of transform algebra. Agreement between these and the library is
-the point of most tests, so none of this may import shortcuts from the
-package.
+instead of transform algebra, the whole command-line parser for every call
+instead of only the named subcommand's. Agreement between these and the
+library is the point of most tests, so none of this may import shortcuts
+from the package.
 """
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -252,3 +254,20 @@ def fraction_path_weight_sums(g, i) -> list:
         for a in out.get(v, ()):
             acc[a.head] = acc.get(a.head, Fraction(0)) + w * a.weight
     return [acc.get(dst, Fraction(0)) for dst in g.sinks]
+
+
+def full_parser_main(cli, argv) -> int:
+    """`cli.main(argv)` by the full parser alone: `cli.build_parser()` parses
+    every call, then the same dispatch and exit codes as `cli.main`."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except cli.UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except cli.CrossCheckError as exc:
+        print(f"cross-check failure: {exc}", file=sys.stderr)
+        return 4
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

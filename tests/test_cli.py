@@ -14,6 +14,7 @@ import polytnn
 import polytnn.__main__
 import polytnn.cli as cli
 from polytnn import TnnReport
+from oracles import full_parser_main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -448,12 +449,20 @@ class TestParserAndWriter:
     def test_parser_shape(self):
         parser = cli.build_parser()
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        shape = {
-            name: [(a.option_strings, a.required, a.choices, a.default) for a in p._actions]
-            for name, p in sub.choices.items()
-        }
-        assert list(shape) == list(self.SHAPE)
-        assert shape == self.SHAPE
+
+        def shape(p):
+            return [(a.option_strings, a.required, a.choices, a.default) for a in p._actions]
+
+        full = {name: shape(p) for name, p in sub.choices.items()}
+        assert list(full) == list(self.SHAPE)
+        assert full == self.SHAPE
+        # main parses a named subcommand with that subcommand's parser alone,
+        # built from the same table: it must match the full parser's subparser
+        assert list(cli._COMMANDS) == list(sub.choices)
+        for name, p in sub.choices.items():
+            alone = cli._command_parser(name)
+            assert shape(alone) == self.SHAPE[name]
+            assert (alone.prog, alone.get_default("func")) == (p.prog, p.get_default("func"))
 
     @pytest.mark.parametrize(
         "argv",
@@ -482,6 +491,79 @@ class TestParserAndWriter:
         assert out == line + "\n"
         assert line == json.dumps(json.loads(line), sort_keys=True)
         assert err == ""
+
+
+# per subcommand: a cheap accepted call, and flags it takes only by abbreviation
+CALLS = {
+    "matrix": (["--d", "3"], ["--aug"]),
+    "tnn": (["--d", "5"], ["--max", "2"]),
+    "f2g": (["--f", "6,12,8", "--d", "3"], ["--fo", "csv"]),
+    "g2f": (["--g", "1,2", "--d", "3"], ["--fo", "csv"]),
+    "euler": (["--f", "4,6,5", "--d", "3"], ["--fo", "text"]),
+    "feasible": (["--f", "6,12,8", "--d", "3"], ["--fo", "text"]),
+    "msequence": (["--seq", "1,3,6,10"], ["--or"]),
+    "lgv": (["--n", "4"], ["--ver", "--rows", "0", "--cols", "1"]),
+}
+
+ARGVS = [
+    argv
+    for name, (ok, abbreviated) in CALLS.items()
+    for argv in (
+        [name, *ok],
+        [name, "-h"],
+        [name, "--he"],
+        [name, *ok, "-h"],
+        [name, *ok[2:]],  # its first flag, a required one, left out
+        [name, ok[0], "x", *ok[2:]],  # a value its type refuses
+        [name, *ok, "--format", "yaml"],
+        [name, *ok, "--format=json"],
+        [name, *ok, "--form", "json"],
+        [name, *ok, *abbreviated],
+        [name, *ok, "--bogus"],
+        [name, *ok, "extra"],
+        [name, "--", *ok],
+        [name, *ok, "--"],
+        [name, *ok, "--", "extra"],
+        [name, *ok, ok[0]],  # a flag without its value
+    )
+] + [
+    [],
+    ["-h"],
+    ["--help", "tnn"],
+    ["bogus"],
+    ["--", "tnn", "--d", "3"],
+    ["TNN"],
+    ["tnn", "--f", "x"],  # ambiguous: --file or --format
+]
+
+
+class TestFastParse:
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_bytes_as_the_full_parser(self, argv, capsys):
+        def outcome(call):
+            try:
+                code = call(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, *capsys.readouterr()
+
+        assert outcome(cli.main) == outcome(lambda argv: full_parser_main(cli, argv))
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        argv = ["lgv", "--n", "9", "--verify", "--rows", "0,2,4", "--cols", "1,5,8"]
+        monkeypatch.setattr(sys, "argv", ["polytnn", *argv])
+        assert cli.main() == 0
+        assert capsys.readouterr() == ("det=135, lgv=135, equal\n", "")
+        monkeypatch.setattr(sys, "argv", ["polytnn", "tnn", "--d", "5", "extra"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "usage: polytnn [-h] {matrix,tnn,f2g,g2f,euler,feasible,msequence,lgv} ...\n"
+            "polytnn: error: unrecognized arguments: extra\n"
+        )
 
 
 class TestGlobalBehavior:
