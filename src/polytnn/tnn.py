@@ -10,7 +10,10 @@ straight-line code. Each share of the lines returns the walk's least value and
 first negative minor as integers, folded once into a clean bill or the
 lexicographically first negative minor as a witness. The scan never stops
 early, so the report is identical however the work is split across processes.
-iter_minors eliminates each minor on its own (Bareiss).
+It does skip what is provably 0: when every minor on a line set S is 0, the
+lines of S are linearly dependent, so are those of every (r0,) + S, and the
+walk records the 0 and does not descend below S. iter_minors eliminates each
+minor on its own (Bareiss).
 """
 
 from __future__ import annotations
@@ -175,8 +178,13 @@ def _walker(short: int, max_order: int):
     (r_k, ..., r_1): their scale times their minors on the order-k subsets T of the
     short side in lex order, each a Laplace expansion along r_k written out, whose
     term l[c]*t[q] is signed by the position of c in T, q the lex rank of T without c
-    in loop k-1's table. The source holds only these indices, order * C(short, order)
-    terms per loop, no more than the minor count, so SCAN_BUDGET bounds it too."""
+    in loop k-1's table. A table of zeros means lines (r_k, ..., r_1) are linearly
+    dependent, so is every line set the loops below add to them, and each table
+    there is zeros too (each entry a sum of products with this table's): after its
+    least value is recorded, loop k skips to its next line. Zeros are never negative
+    and the count is not walked, so the report is unchanged. The source holds only
+    these indices, order * C(short, order) terms per loop, no more than the minor
+    count, so SCAN_BUDGET bounds it too."""
     src = [
         "def walk(ints, scales, tops, wide):",  # least/least_scale = 1/0 lies above every minor
         f"    least, least_scale, first, first_order, s0, t0_0 = 1, 0, None, {max_order}, 1, 1",
@@ -198,8 +206,13 @@ def _walker(short: int, max_order: int):
             f"{pad}    if low < 0 and {k} <= first_order:  # a lower order wins",
             f"{pad}        lines = ({''.join(f'r{j}, ' for j in range(k, 0, -1))})",
             f"{pad}        first, first_order = _first_negative(first, lines, s{k}, t, wide), {k}",
-            f"{pad}    {''.join(f't{k}_{q}, ' for q in range(comb(short, k)))}= t" if k < max_order else "",
         ]
+        if k < max_order:  # a table of zeros: every line set added to these is dependent too
+            src += [
+                f"{pad}    if low == 0 and not any(t):",
+                f"{pad}        continue",
+                f"{pad}    {''.join(f't{k}_{q}, ' for q in range(comb(short, k)))}= t",
+            ]
     src.append("    return least, least_scale, first")
     namespace = {"_first_negative": _first_negative}
     exec(compile("\n".join(src), f"<tnn walker short={short} max_order={max_order}>", "exec"), namespace)
@@ -244,7 +257,8 @@ def _shares(lines: int, short: int, max_order: int, workers: int) -> list[list[i
     in a top line's subtree: sum over k of k * C(top, k-1) * C(short, k). The cost
     never falls as top grows, so placing the tops largest first, each onto the
     lightest share (the first on a tie), is deterministic and puts the largest
-    top in share 0, the caller's."""
+    top in share 0, the caller's. The walk skips the subtrees below dependent
+    lines, so for inputs that have them this cost is an upper bound."""
     shares, loads = [[] for _ in range(workers)], [0] * workers
     for top in reversed(range(lines)):
         i = loads.index(min(loads))

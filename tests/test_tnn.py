@@ -163,6 +163,60 @@ def walker_matrices():
     return mats
 
 
+def dependent_matrices():
+    """Seeded matrices whose walked lines (rows of a tall or square matrix, columns of
+    a wide one) carry a planted linear dependency: a zero line, a repeated line, a
+    proportional line, a line that is the sum of two others, or rank r <= short - 2
+    for all of them (an n x r times an r x short product). So some dependent line
+    set has fewer lines than the short side and line 0 below it, and the walk has a
+    subtree to skip. Each plant goes on random small ints and on the totally positive
+    Pascal matrix C(i + j, i) with a leading square block's determinant made -1 and
+    the planted lines adjacent (or a rank-r product of Pascal factors, TNN), so that
+    negative minors come at several orders. Each matrix is over ints or has each
+    walked line divided by its own denominator, and is tall or square and wide."""
+    rng = random.Random(20261023)
+    mats = []
+    for long, short in [(5, 4), (7, 4), (6, 5), (7, 5), (5, 5), (6, 6)]:
+        for plant in ("zero", "repeat", "proportional", "sum", "rank"):
+            for pascal in (False, True):
+                if pascal:
+                    lines = [[comb(i + j, i) for j in range(short)] for i in range(long)]
+                    k = rng.randrange(2, short)
+                    lines[k][k] -= 2
+                    i = rng.randrange(3, long)
+                    j, h = i - 1, i - 2
+                else:
+                    lines = [[rng.randint(0, 6) for _ in range(short)] for _ in range(long)]
+                    i, j, h = rng.sample(range(1, long), 3)  # line 0 is below them all
+                if plant == "zero":
+                    lines[i] = [0] * short
+                elif plant == "repeat":
+                    lines[i] = list(lines[j])
+                elif plant == "proportional":
+                    factor = rng.choice((-3, 2, 5))
+                    lines[i] = [factor * x for x in lines[j]]
+                elif plant == "sum":
+                    lines[i] = [a + b for a, b in zip(lines[j], lines[h])]
+                else:
+                    r = rng.randint(1, short - 2)
+                    left = [[comb(x + a, a) if pascal else rng.randint(-1, 3) for a in range(r)] for x in range(long)]
+                    right = [[comb(a + y, a) if pascal else rng.randint(-1, 3) for y in range(short)] for a in range(r)]
+                    lines = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+                if rng.random() < 0.5:
+                    lines = [[Fraction(x, d) for x in line] for line, d in zip(lines, (rng.randint(1, 9) for _ in lines))]
+                for wide in (False, True)[: 1 + (long > short)]:
+                    mats.append(tuple(zip(*lines)) if wide else tuple(map(tuple, lines)))
+    return mats
+
+
+def counting_min(monkeypatch, short, max_order):
+    """A list that grows by one for each table the walker (short, max_order) builds:
+    a counting min in its globals, where it takes each table's least entry."""
+    calls = []
+    monkeypatch.setitem(tnn._walker(short, max_order).__globals__, "min", lambda t: calls.append(1) or min(t))
+    return calls
+
+
 def cross_check_matrices():
     """Seeded matrices up to 5x7 over small ints and p/q rationals.
 
@@ -425,7 +479,7 @@ class TestAgainstBareissScan:
 class TestWalker:
     def test_matches_the_bareiss_scan(self):
         orders = set()
-        for rows in walker_matrices():
+        for rows in walker_matrices() + dependent_matrices():
             ints, scales, wide = tnn._clear(as_matrix(rows))
             short, lines = len(ints[0]), len(ints)
             for max_order in range(1, short + 1):
@@ -460,6 +514,81 @@ class TestWalker:
         m = transfer_matrix(7)  # 4x7: one walker, short side 4 and orders 1..4
         assert is_totally_nonnegative(m, jobs=2) == is_totally_nonnegative(m)
         assert built == [1]
+
+
+class TestDependentLines:
+    """The walk skips every line set that holds a linearly dependent one (a table of
+    zeros); the reports must be the per-minor Bareiss scan's all the same."""
+
+    def test_planted_dependencies_are_skipped(self, monkeypatch):
+        # TestWalker checks their reports; here the walk must build fewer tables than
+        # one per line set, since some dependent set has a line below it
+        for rows in dependent_matrices():
+            ints, scales, wide = tnn._clear(as_matrix(rows))
+            short, lines = len(ints[0]), len(ints)
+            built = counting_min(monkeypatch, short, short)
+            tnn._scan_top(ints, scales, wide, short, range(lines))
+            assert len(built) < sum(comb(lines, k) for k in range(1, short + 1)), rows
+
+    def test_planted_dependencies_forked(self, fork_always):
+        mats = dependent_matrices()[::3]
+        assert sum(bareiss_scan(rows)[2] is not None for rows in mats) >= 20
+        for rows in mats:
+            for order in range(1, min(len(rows), len(rows[0])) + 1):
+                expected = expected_report(bareiss_scan(rows, order))
+                for jobs in (2, 3):
+                    assert is_totally_nonnegative(rows, max_order=order, jobs=jobs) == expected, (rows, order, jobs)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((0, 1), (1, 0)),
+            ((0, 1, 0), (1, 0, 0)),
+            ((1, 1, 0), (1, 1, 1), (0, 1, 1)),
+            ((1, 1, 0, 0), (1, 1, 1, 0), (0, 1, 1, 0)),
+            ((Fraction(1, 2), Fraction(1, 2), 0), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), (0, 1, 1)),
+        ],
+    )
+    def test_a_zero_beside_positives_is_not_skipped(self, fork_always, rows):
+        # the first negative minor lies below a table whose least entry is 0 but which is
+        # not all zeros: its lines are independent, so the walk must go on below it
+        count, least, first = bareiss_scan(rows)
+        assert first is not None and least == first[2] < 0
+        wide = len(rows[0]) > len(rows)
+        lines = first[1] if wide else first[0]
+        above = [m.value for m in iter_minors(rows, len(lines) - 1) if (m.cols if wide else m.rows) == lines[1:]]
+        assert min(above) == 0 < max(above)
+        expected = expected_report((count, least, first))
+        for jobs in (1, 2):
+            assert is_totally_nonnegative(rows, jobs=jobs) == expected
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("factor", [2, Fraction(3, 2)])
+    def test_only_zeros_on_one_dependent_pair(self, fork_always, wide, factor):
+        # a totally positive Vandermonde matrix whose top line is a multiple of the next:
+        # the zero minors are those on both lines, all below the one table of zeros, so
+        # the least minor 0 is only seen if that table is recorded before it is skipped
+        lines = [[x**j for j in range(4)] for x in (1, 2, 3, 4)]
+        lines.append([factor * v for v in lines[3]])
+        rows = tuple(zip(*lines)) if wide else tuple(map(tuple, lines))
+        for order in range(1, 5):
+            zeros = {(m.cols if wide else m.rows) for k in range(1, order + 1) for m in iter_minors(rows, k) if m.value == 0}
+            assert all({3, 4} <= set(line_set) for line_set in zeros) and bool(zeros) == (order > 1)
+            scan = bareiss_scan(rows, order)
+            assert scan[1:] == (0 if order > 1 else 1, None)
+            expected = expected_report(scan)
+            for jobs in (1, 2):
+                assert is_totally_nonnegative(rows, max_order=order, jobs=jobs) == expected, (order, jobs)
+
+    def test_transfer_matrices_build_fewer_tables(self, monkeypatch):
+        # M_11 (6x11) and M_13 (7x13) walk their columns; without the skip they would
+        # build one table per column set of size <= 6 or 7: 1,485 and 5,811
+        for d, built, unpruned in ((11, 987, 1485), (13, 3627, 5811)):
+            short = (d + 2) // 2
+            tables = counting_min(monkeypatch, short, short)
+            assert is_totally_nonnegative(transfer_matrix(d))
+            assert len(tables) == built, d
+            assert sum(comb(d, k) for k in range(1, short + 1)) == unpruned
 
 
 class TestFold:
