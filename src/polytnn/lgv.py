@@ -19,11 +19,11 @@ A path from source i to sink j climbs heights i..j-1 once each, so its
 weight telescopes to C(n,j)/C(n,i) whatever its route. Every family on
 rows I and columns J therefore weighs prod C(n,J) / prod C(n,I), and the
 minor is that constant times the number of families. One sweep over the
-anti-diagonals counts them or lists them; two disjoint paths that change
-order would cross, which planarity rules out, so that is a CrossCheckError.
+anti-diagonals counts paths and families and lists families; disjoint
+paths that change order would cross, which planarity rules out.
 
-The path count and the vertex set walk each column x over its heights
-c-x..x+floor(n/2); the sweep tests points with _inside(n, x, y).
+The sweep tests points with _inside(n, x, y); the vertex set walks each
+column x over its heights c-x..x+floor(n/2).
 A LatticeGraph is just its order: its vertices and Fraction arcs are built
 on first read, for output only, and GRAPH_BUDGET refuses that build.
 """
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -57,8 +56,8 @@ Vertex = tuple[int, int]
 
 GRAPH_BUDGET = 25_000  # most vertices LatticeGraph.vertices builds; n = 315 has 24,964
 
-# family enumeration is exponential in principle; these bounds keep every
-# in-contract call comfortably fast and anything bigger errors out
+# check_minor's bounds on a family listing (which can grow exponentially) and
+# on minor_via_lgv; path_weight_sum, one path, is not bounded by them
 FAMILY_MAX_ORDER = 3
 FAMILY_MAX_N = 10
 
@@ -158,19 +157,11 @@ def path_weight_sum(g: LatticeGraph, i: int, j: int) -> int:
     """Exact total weight of all paths from source i to sink j.
 
     Every such path climbs heights i..j-1 once, so its weight is
-    C(n,j)/C(n,i) whatever its route: the sum is the number of paths (an
-    integer dynamic program over the region) times that ratio.
+    C(n,j)/C(n,i) whatever its route: the sum is the number of paths (the
+    family sweep for one path, with no family budget) times that ratio.
     """
-    # a column DP, not _sweep: all 450 sums at n = 30 take 35 ms, against 160 ms by the sweep (2-vCPU VM)
     _check_indices(g.n, i, j)
-    (x0, y0), (x1, y1) = g.sources[i], g.sinks[j]
-    n, c = g.n, g.corner
-    count = {(x0, y0): 1}
-    for x in range(x0, x1 + 1):
-        for y in range(max(y0, c - x), min(y1, x + n // 2) + 1):  # column x's heights in the region
-            if (x, y) != (x0, y0):
-                count[x, y] = count.get((x - 1, y), 0) + count.get((x, y - 1), 0)
-    return _weighted(count.get((x1, y1), 0), g.n, [i], [j])
+    return _weighted(_count_families(g.n, [i], [j]), g.n, [i], [j])
 
 
 class PathFamily(NamedTuple):
@@ -216,28 +207,31 @@ def nonintersecting_families(
     return [PathFamily(paths, weight) for paths in sorted(families)]
 
 
-def _extend(families: list, heads: tuple[int, ...], s: int) -> list:
-    """Each partial family with its live paths, the last len(heads), moved to heads on x + y = s."""
-    done = len(families[0]) - len(heads)
-    return [fam[:done] + tuple(p + ((x, s - x),) for p, x in zip(fam[done:], heads)) for fam in families]
+def _extend(families: list, p: int, x: int, s: int) -> list:
+    """Each partial family with its path p moved to (x, s - x)."""
+    return [fam[:p] + (fam[p] + ((x, s - x),),) + fam[p + 1 :] for fam in families]
 
 
 def _count_families(n: int, rows: Sequence[int], cols: Sequence[int]) -> int:
     """Number of vertex-disjoint families joining source rows[t] to sink cols[t]."""
-    return _sweep(n, rows, cols, 1, lambda m, heads, s: m).get((), 0)
+    return _sweep(n, rows, cols, 1, lambda m, p, x, s: m).get((), 0)
 
 
 def _sweep(n: int, rows: Sequence[int], cols: Sequence[int], start, step) -> dict:
     """Sweep the anti-diagonals x + y = s, carrying a value along every
     vertex-disjoint family joining source rows[t] to sink cols[t].
 
-    A state is the x-positions of the live paths on diagonal s, strictly
-    decreasing (path 0 first), with its value: start at the sources,
-    step(value, heads, s) on each move, summed with + where moves meet.
-    Every path meets each diagonal once, so disjoint paths are distinct
-    heads on every diagonal. Sources lie on s = c; sink j is (c, j), on
-    s = c + j, where path t must sit at x = c and is retired. Returns
-    {(): the total} or {} if no family exists.
+    A state is the x-positions of the live heads, path 0 first, with its
+    value: start at the sources, step(value, p, x, s) when path p moves to
+    (x, s - x), summed with + where moves meet. Sources lie on s = c; sink
+    j is (c, j), on s = c + j, where path p must sit at x = c and retires.
+    From s - 1 to s the heads move one at a time: head t goes up (x) or
+    right (x + 1) to a region point strictly left of head t - 1's new x,
+    while x >= s - cols[p] (else y > cols[p] and the sink is out of reach).
+    Strictly increasing rows start the heads strictly decreasing, and a head
+    moving by 0 or 1 can land on the one before it but not pass it; paths
+    out of order would have crossed without meeting, which planarity rules
+    out (a CrossCheckError). Returns {(): the total}, or {} if none exist.
     """
     c, k = (n + 1) // 2 - 1, len(rows)
     states = {tuple(c - i for i in rows): start}
@@ -249,19 +243,23 @@ def _sweep(n: int, rows: Sequence[int], cols: Sequence[int], start, step) -> dic
         if retired == k or not states:
             return states
         s += 1
-        moved: dict = {}
-        for xs, m in states.items():
-            steps = [[x2 for x2 in (x, x + 1) if _inside(n, x2, s - x2)] for x in xs]
-            for heads in product(*steps):
-                if all(a > b for a, b in zip(heads, heads[1:])):
-                    v = step(m, heads, s)
-                    moved[heads] = moved[heads] + v if heads in moved else v
-                elif len(set(heads)) == len(heads):
-                    raise CrossCheckError(
-                        f"disjoint paths out of order on x+y={s} "
-                        f"(n={n}, rows={rows}, cols={cols})"
-                    )
-        states = moved
+        for t in range(k - retired):
+            p = retired + t
+            reach = s - cols[p]
+            moved: dict = {}
+            for xs, m in states.items():
+                prev = xs[t - 1] if t else c + 1
+                for x in (xs[t], xs[t] + 1):
+                    if x > prev:
+                        raise CrossCheckError(
+                            f"disjoint paths out of order on x+y={s} "
+                            f"(n={n}, rows={rows}, cols={cols})"
+                        )
+                    if reach <= x < prev and _inside(n, x, s - x):
+                        heads = xs[:t] + (x,) + xs[t + 1 :]
+                        v = step(m, p, x, s)
+                        moved[heads] = moved[heads] + v if heads in moved else v
+            states = moved
 
 
 def minor_via_lgv(g: LatticeGraph, rows: Sequence[int], cols: Sequence[int]) -> int:

@@ -5,6 +5,7 @@ from itertools import combinations
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polytnn.cli as cli
 import polytnn.lgv as lgv
@@ -305,6 +306,34 @@ class TestFamilyCount:
                     count = _count_families(n, w.rows, w.cols)
                     lhs = count * prod(binomial(n, j) for j in w.cols)
                     assert lhs == w.value * prod(binomial(n, i) for i in w.rows), (n, w)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.integers(2, 40), st.data())
+    def test_counts_match_determinants_up_to_order_ten(self, n, data):
+        # count * prod C(n,J) == det * prod C(n,I), at n and orders no listing reaches
+        height = (n + 1) // 2
+        order = data.draw(st.integers(1, min(10, height)))
+        rows = sorted(data.draw(st.sets(st.integers(0, height - 1), min_size=order, max_size=order)))
+        cols = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=order, max_size=order)))
+        det = determinant(as_matrix(path_matrix(n)).submatrix(rows, cols))
+        lhs = _count_families(n, rows, cols) * prod(binomial(n, j) for j in cols)
+        assert lhs == det * prod(binomial(n, i) for i in rows), (n, rows, cols)
+
+    def test_order_ten_zero_minor(self):
+        assert _count_families(40, range(10, 20), range(30, 40)) == 0
+
+    def test_one_path_steps_onto_exactly_its_box(self):
+        # the reach bound drops a head once its sink is out of reach, so one path
+        # steps onto the region points between its source and sink and no others
+        for n in range(2, 16):
+            c = (n + 1) // 2 - 1
+            region = region_vertices(n)
+            for i in range(c + 1):
+                for j in range(n):
+                    seen = set()
+                    lgv._sweep(n, [i], [j], 1, lambda m, p, x, s: seen.add((x, s - x)) or m)
+                    box = {(x, y) for x, y in region if c - i <= x <= c and i <= y <= j}
+                    assert seen == box - {(c - i, i)}, (n, i, j)
 
     def test_paths_out_of_order_are_a_cross_check_failure(self):
         # sources listed bottom-up would have to cross: the sweep must say so
