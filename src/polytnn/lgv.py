@@ -141,15 +141,17 @@ def _check_indices(n: int, i: int, j: int) -> None:
         raise ValueError(f"sink index out of range: j = {j}, valid 0..{n - 1}")
 
 
+def _family_weight(n: int, rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int]:
+    """(prod C(n,J), prod C(n,I)), whose ratio weighs every path or family on (rows, cols)."""
+    return prod(binomial(n, j) for j in cols), prod(binomial(n, i) for i in rows)
+
+
 def _weighted(count: int, n: int, rows: Sequence[int], cols: Sequence[int]) -> int:
-    """count paths or families on (rows, cols) times the weight of each,
-    prod C(n,J) / prod C(n,I): an integer, which is checked, not assumed."""
-    num = count * prod(binomial(n, j) for j in cols)
-    den = prod(binomial(n, i) for i in rows)
+    """count paths or families on (rows, cols) times the weight of each: an integer, checked."""
+    num, den = _family_weight(n, rows, cols)
+    num *= count
     if num % den:
-        raise CrossCheckError(
-            f"n={n}, rows={rows}, cols={cols}: lgv weight {Fraction(num, den)} is not an integer"
-        )
+        raise CrossCheckError(f"n={n}, rows={rows}, cols={cols}: lgv weight {Fraction(num, den)} is not an integer")
     return num // den
 
 
@@ -201,8 +203,7 @@ def nonintersecting_families(
     """
     rows, cols = list(rows), list(cols)
     check_minor(g.n, rows, cols)
-    weight = Fraction(prod(binomial(g.n, j) for j in cols), prod(binomial(g.n, i) for i in rows))
-    start = [tuple((g.sources[i],) for i in rows)]
+    weight, start = Fraction(*_family_weight(g.n, rows, cols)), [tuple((g.sources[i],) for i in rows)]
     families = _sweep(g.n, rows, cols, start, _extend).get((), [])
     return [PathFamily(paths, weight) for paths in sorted(families)]
 

@@ -6,10 +6,11 @@ the transpose are the same), scales each by the lcm of its denominators, and
 builds the minors on lines (r0,) + S, r0 < S[0], from those on S by integer
 Laplace expansion along line r0: one generated function per (short side,
 max order), a nested loop per order with each expansion written out as
-straight-line code. Each share of the lines returns the walk's least value and
-first negative minor as integers, folded once into a clean bill or the
-lexicographically first negative minor as a witness. The scan never stops
-early, so the report is identical however the work is split across processes.
+straight-line code. With jobs > 1, each worker takes the top lines off one pipe as
+it frees up, largest first, and returns its walk's least value and first negative
+minor as integers, folded once into a clean bill or the lexicographically first
+negative minor as a witness. The scan never stops early, so the report is
+identical whichever worker took which line.
 It does skip what is provably 0: when every minor on a line set S is 0, the
 lines of S are linearly dependent, so are those of every (r0,) + S, and the
 walk records the 0 and does not descend below S. iter_minors eliminates each
@@ -129,8 +130,12 @@ def determinant(m) -> Scalar:
     if mat.rows != mat.cols:
         raise ValueError(f"determinant needs a square matrix, got {mat.rows}x{mat.cols}")
     ints, scales, _ = _clear(mat)
-    det, scale = _bareiss(ints), prod(scales)
-    return det if scale == 1 else Fraction(det, scale)
+    return _exact(_bareiss(ints), prod(scales))
+
+
+def _exact(value: int, scale: int) -> Scalar:
+    """value / scale, an int exactly when it is whole."""
+    return Fraction(value, scale) if value % scale else value // scale
 
 
 class MinorWitness(NamedTuple):
@@ -229,8 +234,7 @@ def _first_negative(first, lines: tuple, scale: int, table: list, wide: bool) ->
 
 def _minor(wide: bool, lines: tuple, subset: tuple, scale: int, value: int) -> MinorWitness:
     """The minor on lines and a subset of the short side, whose scaled value is value."""
-    value = value if scale == 1 else Fraction(value, scale)
-    return MinorWitness(*((subset, lines) if wide else (lines, subset)), value)
+    return MinorWitness(*((subset, lines) if wide else (lines, subset)), _exact(value, scale))
 
 
 def iter_minors(m, order: int):
@@ -252,23 +256,15 @@ def _scan_top(ints, scales, wide: bool, max_order: int, tops) -> tuple:
     return _walker(len(ints[0]), max_order)(ints, scales, tops, wide)
 
 
-def _shares(lines: int, short: int, max_order: int, workers: int) -> list[list[int]]:
-    """Split the top lines into workers shares of near-equal cost, the multiply-adds
-    in a top line's subtree: sum over k of k * C(top, k-1) * C(short, k). The cost
-    never falls as top grows, so placing the tops largest first, each onto the
-    lightest share (the first on a tie), is deterministic and puts the largest
-    top in share 0, the caller's. The walk skips the subtrees below dependent
-    lines, so for inputs that have them this cost is an upper bound."""
-    shares, loads = [[] for _ in range(workers)], [0] * workers
-    for top in reversed(range(lines)):
-        i = loads.index(min(loads))
-        shares[i].append(top)
-        loads[i] += sum(k * comb(top, k - 1) * comb(short, k) for k in range(1, max_order + 1))
-    return shares
+def _tops(read: int, lines: int):
+    """The top lines of each chunk j this worker reads off the pipe, one byte each, as
+    it frees up: line lines-1-j and every min(lines, 256)-th line below, largest first."""
+    while chunk := os.read(read, 1):
+        yield from range(lines - 1 - chunk[0], -1, -min(lines, 256))
 
 
-def _fork(scan, share) -> tuple:
-    """Fork a child that writes marshal(scan(share)) to a pipe, or its traceback to
+def _fork(scan) -> tuple:
+    """Fork a child that writes marshal(scan()) to a pipe, or its traceback to
     stderr, and leaves by os._exit, so no inherited stdout buffer or atexit handler
     runs twice; return (its pid, the pipe's read end)."""
     read, write = os.pipe()
@@ -283,7 +279,7 @@ def _fork(scan, share) -> tuple:
         try:
             os.close(read)
             with open(write, "wb") as pipe:
-                marshal.dump(scan(share), pipe)
+                marshal.dump(scan(), pipe)
             code = 0
         except BaseException:  # the caller only sees the exit code: show the cause here
             import traceback  # only a failing child pays for the import
@@ -296,16 +292,19 @@ def _fork(scan, share) -> tuple:
     return pid, open(read, "rb")
 
 
-def _fork_map(scan, shares) -> list:
-    """[scan(share) for share in shares]: shares[0] in this process, each other share
-    in a forked child that inherits the matrix and kernels. A child that exits
-    nonzero, dies by a signal or sends no result raises ChildProcessError; if this
-    process's own share raises, the children are killed. Every child is reaped."""
+def _fork_map(scan, lines: int, workers: int) -> list:
+    """[scan(tops) per worker]: this process and workers - 1 forked children (which inherit
+    the matrix and kernels) take the top lines off one pipe as they free up (_tops). A
+    child that exits nonzero, dies by a signal or sends no result raises ChildProcessError;
+    if this process's own scan raises, the children are killed. Every child is reaped."""
+    read, write = os.pipe()
     children = []
     try:
-        for share in shares[1:]:
-            children.append(_fork(scan, share))
-        mine = scan(shares[0])
+        with open(write, "wb", 0) as deal:  # closed before any fork, so a read past the last chunk sees EOF
+            deal.write(bytes(range(min(lines, 256))))  # one write of <= 256 bytes, under PIPE_BUF: whole
+        for _ in range(workers - 1):
+            children.append(_fork(lambda: scan(_tops(read, lines))))
+        mine = scan(_tops(read, lines))
         sent = [pipe.read() for _, pipe in children]
     except BaseException:
         import signal  # only a failing scan pays for the import
@@ -314,6 +313,7 @@ def _fork_map(scan, shares) -> list:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        os.close(read)
         for _, pipe in children:
             pipe.close()
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
@@ -344,11 +344,11 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
     """Scan all minors up to max_order (default: all orders) exactly.
 
     check_scan refuses bad arguments and more than SCAN_BUDGET minors up front.
-    The top lines are split into min(jobs, lines, CPUs) shares of near-equal cost;
-    this process scans one and a forked child each of the others. Below
-    FORK_MIN_WORK minors, or without os.fork, one walk here covers every line.
-    The report (witness: the lexicographically first negative minor), folded
-    here from the shares' raw results, does not depend on jobs."""
+    min(jobs, lines, CPUs) workers, this process and forked children, take the top
+    lines largest first as they free up (_fork_map). Below FORK_MIN_WORK minors,
+    or without os.fork, one walk here covers every line. The report (witness: the
+    lexicographically first negative minor), folded here from the workers' raw
+    results, does not depend on jobs or on which worker took which line."""
     mat = as_matrix(m)
     max_order, work = check_scan(mat.rows, mat.cols, max_order, jobs)
     ints, scales, wide = _clear(mat)
@@ -357,11 +357,10 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
     if workers == 1 or work < FORK_MIN_WORK or not hasattr(os, "fork"):
         results = [_scan_top(ints, scales, wide, max_order, range(len(ints)))]
     else:
-        shares = _shares(len(ints), len(ints[0]), max_order, workers)
-        results = _fork_map(lambda tops: _scan_top(ints, scales, wide, max_order, tops), shares)
+        results = _fork_map(lambda tops: _scan_top(ints, scales, wide, max_order, tops), len(ints), workers)
     first = min((r[2] for r in results if r[2] is not None), default=None)  # keys are unique
     if first is not None:  # the witness
         _, lines, scale, i, value = first
         first = _minor(wide, lines, next(islice(combinations(range(len(ints[0])), len(lines)), i, None)), scale, value)
-    least, scale, _ = min(results, key=lambda r: Fraction(r[0], r[1]))  # every share has minors
-    return TnnReport(first is None, work, least if scale == 1 else Fraction(least, scale), first)
+    least = min(_exact(low, scale) for low, scale, _ in results if scale)  # scale 0: took no line
+    return TnnReport(first is None, work, least, first)

@@ -1,3 +1,4 @@
+import os
 import sys
 
 import pytest
@@ -19,11 +20,12 @@ def forking_cli():
 @pytest.fixture
 def fork_always(monkeypatch):
     """Scans with jobs > 1 fork however small they are, into min(jobs, lines)
-    shares whatever this machine's CPU count; the test must fork at least once."""
+    workers whatever this machine's CPU count; yields the pids of the processes
+    that forked, one per child. The test must fork at least once."""
     forks = []
     fork = tnn._fork
     monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
     monkeypatch.setattr(tnn.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(tnn, "_fork", lambda scan, share: forks.append(share) or fork(scan, share))
+    monkeypatch.setattr(tnn, "_fork", lambda scan: forks.append(os.getpid()) or fork(scan))
     yield forks
     assert forks, "no scan forked"

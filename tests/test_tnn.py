@@ -69,41 +69,66 @@ def share_report(rows, max_order, tops):
     return Fraction(least, scale), witness
 
 
-def random_shares(rng, record):
-    """A tnn._shares that deals the top lines, shuffled, into workers nonempty shares
-    at random cut points, and records them."""
+def random_deal(rng, record):
+    """A tnn._fork_map that deals the top lines, shuffled, into workers parts at
+    random cut points, some of them empty, scans each part here and records
+    (parts, results)."""
 
-    def shares(lines, short, max_order, workers):
+    def fork_map(scan, lines, workers):
         tops = rng.sample(range(lines), lines)
-        cuts = sorted(rng.sample(range(1, lines), workers - 1))
-        record.append([tops[a:b] for a, b in zip([0] + cuts, cuts + [lines])])
-        return record[-1]
+        cuts = sorted(rng.choices(range(lines + 1), k=workers - 1))
+        parts = [tops[a:b] for a, b in zip([0] + cuts, cuts + [lines])]
+        record.append((parts, [scan(part) for part in parts]))
+        return record[-1][1]
 
-    return shares
+    return fork_map
 
 
 def inline_fork_map(on_fork):
-    """A stand-in for tnn._fork_map: calls on_fork(shares) where the real one
-    forks a child for each share but the first, then scans every share here."""
+    """A stand-in for tnn._fork_map: calls on_fork(workers) where the real one
+    forks workers - 1 children, then scans here as if the first worker took
+    every top line and the others none."""
 
-    def fork_map(scan, shares):
-        on_fork(shares)
-        return [scan(share) for share in shares]
+    def fork_map(scan, lines, workers):
+        on_fork(workers)
+        return [scan(range(lines - 1, -1, -1))] + [scan(()) for _ in range(workers - 1)]
 
     return fork_map
 
 
 def failing_shares(action):
-    """A tnn._scan_top that calls action() on every share without the largest
-    top line, so in every forked child and never in the caller."""
-    scan = tnn._scan_top
+    """A tnn._scan_top that calls action() in every forked child and never in the
+    caller, which it tells by its pid: the tops are dealt as the scan runs, so no
+    worker knows its lines up front."""
+    scan, caller = tnn._scan_top, os.getpid()
 
     def scan_top(ints, scales, wide, max_order, tops):
-        if len(ints) - 1 not in tops:
+        if os.getpid() != caller:
             action()
         return scan(ints, scales, wide, max_order, tops)
 
     return scan_top
+
+
+def typed(report):
+    """report with the types of its numbers, so that == tells -6 from Fraction(-6, 1)."""
+    return report, type(report.min_minor), report.witness and type(report.witness.value)
+
+
+def check_deal(lines, taken):
+    """taken holds the tops each reader of one dealing pipe took, in order: every top
+    exactly once, in whole chunks taken in pipe order, each chunk top line
+    lines-1-j and every min(lines, 256)-th line below it, largest first."""
+    step = min(lines, 256)
+    assert sorted(top for tops in taken for top in tops) == list(range(lines))
+    for tops in taken:
+        starts, i = [], 0
+        while i < len(tops):
+            chunk = list(range(tops[i], -1, -step))
+            assert tops[i] >= lines - step and tops[i : i + len(chunk)] == chunk, (lines, tops[i])
+            starts.append(tops[i])
+            i += len(chunk)
+        assert starts == sorted(starts, reverse=True)
 
 
 def raise_error():
@@ -371,14 +396,19 @@ class TestIsTotallyNonnegative:
         assert is_totally_nonnegative(m, jobs=2) == is_totally_nonnegative(m)
 
     @pytest.mark.parametrize("value", [-(2**80 + 1), Fraction(-(2**80 + 1), 3**41)])
-    def test_forked_share_sends_big_values_unchanged(self, fork_always, value):
+    def test_forked_share_sends_big_values_unchanged(self, monkeypatch, fork_always, value):
         # rows 1 and 2 are zero, so the least minor and the witness are row 0's first
-        # entry, in the share of top rows [1, 0] that a child scans for jobs=2
+        # entry; the caller takes no top row, so its one child walks all three and sends them
         m = ExactMatrix(((value, 0, 0), (0, 0, 0), (0, 0, 0)))
+        serial = is_totally_nonnegative(m)
+        scan, caller = tnn._scan_top, os.getpid()
+        monkeypatch.setattr(
+            tnn, "_scan_top", lambda *args: scan(*args[:-1], () if os.getpid() == caller else args[-1])
+        )
         report = is_totally_nonnegative(m, jobs=2)
-        assert fork_always == [[1, 0]]
+        assert fork_always == [caller]
+        assert typed(report) == typed(serial)
         assert report == TnnReport(False, 19, value, MinorWitness((0,), (0,), value))
-        assert report == is_totally_nonnegative(m)
 
     def test_submatrix_inherits_from_path_matrix(self):
         # stripping the unit first column of a passing W gives M, whose
@@ -593,27 +623,60 @@ class TestDependentLines:
 
 class TestFold:
     def test_any_partition_in_any_order_gives_the_serial_report(self, monkeypatch):
-        # shares dealt at random, in shuffled order, so the least value, its scale and
-        # the first negative minor can come from any share, in any position
-        rng, dealt, split = random.Random(20261022), [], []
-
-        def fork_map(scan, shares):
-            results = [scan(share) for share in shares]
-            split.append(sum(first is not None for _, _, first in results) > 1)
-            return results
-
-        monkeypatch.setattr(tnn, "_fork_map", fork_map)
-        monkeypatch.setattr(tnn, "_shares", random_shares(rng, dealt))
+        # the top lines dealt at random, shuffled, into parts some of which are empty, so
+        # the least value, its scale and the first negative minor can come from any
+        # worker, in any position, beside workers that took no line; the report must be
+        # the serial one in value and in type, an int exactly when the value is whole
+        rng, dealt = random.Random(20261022), []
+        monkeypatch.setattr(tnn, "_fork_map", random_deal(rng, dealt))
         monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         for rows in line_scaled_matrices() + shaped_matrices() + walker_matrices():
             lines = max(len(rows), len(rows[0]))
             for order in range(1, min(len(rows), len(rows[0])) + 1):
                 serial = is_totally_nonnegative(rows, max_order=order)
+                for x in (serial.min_minor, serial.witness and serial.witness.value):
+                    assert type(x) is not Fraction or x.denominator > 1
                 for _ in range(4 if lines > 1 else 0):
                     got = is_totally_nonnegative(rows, max_order=order, jobs=rng.randint(2, lines))
-                    assert got == serial, (rows, order, dealt[-1])
-        assert sum(split) >= 500  # scans with negative minors in more than one share
+                    assert typed(got) == typed(serial), (rows, order, dealt[-1][0])
+        split = sum(sum(first is not None for _, _, first in results) > 1 for _, results in dealt)
+        assert split >= 500  # scans with negative minors taken by more than one worker
+        assert sum(not all(parts) for parts, _ in dealt) >= 500  # and with a worker that took no line
+
+    @pytest.mark.parametrize("empty_first", [False, True])
+    def test_a_worker_that_took_no_line_is_skipped(self, monkeypatch, empty_first):
+        # a fast worker can take every chunk; the other's walk returns (1, 0, None),
+        # 1/0 above every minor, which the fold must skip: no Fraction has scale 0
+        dealt = []
+
+        def fork_map(scan, lines, workers):
+            results = inline_fork_map(lambda workers: None)(scan, lines, workers)
+            dealt.append(results[::-1] if empty_first else results)
+            return dealt[-1]
+
+        monkeypatch.setattr(tnn, "_fork_map", fork_map)
+        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
+        for rows in line_scaled_matrices()[::4] + [((Fraction(1, 2), 1), (0, Fraction(3, 4)))]:
+            assert typed(is_totally_nonnegative(rows, jobs=2)) == typed(is_totally_nonnegative(rows)), rows
+            assert dealt[-1][0 if empty_first else 1] == (1, 0, None)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # jobs 1 gave the int -6 and jobs 2 and 3 Fraction(-6, 1), as the scale of the
+            # share whose least value won the fold was 1 or not; the second, the other way
+            "1/2,1,1/2,-1 0,1,1,3 2,0,1,0 2,1/2,3/2,2 2,0,3/2,1 1/2,1,1/2,-1",
+            "3/2,3,3,1/2 -1,1,1,-1 0,3/2,1/2,2 1,0,1,-1 0,0,0,0 0,2,1,3",
+        ],
+    )
+    def test_whole_least_minor_is_an_int_for_every_jobs(self, fork_always, rows):
+        rows = tuple(tuple(map(Fraction, row.split(","))) for row in rows.split())
+        reports = [is_totally_nonnegative(rows, jobs=jobs) for jobs in (1, 2, 3)]
+        assert [r.min_minor for r in reports] == [min(m.value for k in (1, 2, 3, 4) for m in iter_minors(rows, k))] * 3
+        assert all(type(r.min_minor) is int for r in reports), reports
+        assert len({typed(r) for r in reports}) == 1
 
 
 class TestWorkerCount:
@@ -625,20 +688,22 @@ class TestWorkerCount:
         serial = is_totally_nonnegative(m)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         assert is_totally_nonnegative(m, jobs=10**9) == serial
-        assert forked == [[[1], [0]]]  # capped by the lines: one child
+        assert forked == [2]  # capped by the lines: one child
         wide = ExactMatrix(((1, 2, -1), (3, 4, 0)))  # three top columns
         wide_serial = is_totally_nonnegative(wide)
+        assert is_totally_nonnegative(wide, jobs=10**9) == wide_serial
+        assert forked[1] == 3  # capped by the lines
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
         assert is_totally_nonnegative(wide, jobs=10**9) == wide_serial
-        assert forked[1] == [[2], [1, 0]]  # capped by the CPUs; top costs 6, 4, 2
+        assert forked[2] == 2  # capped by the CPUs
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         assert is_totally_nonnegative(wide, jobs=2) == wide_serial
-        assert forked[2] == [[2], [1, 0]]  # capped by jobs
+        assert forked[3] == 2  # capped by jobs
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: None)
         assert is_totally_nonnegative(m, jobs=8) == serial
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         assert is_totally_nonnegative(ExactMatrix(((5,),)), jobs=8)
-        assert len(forked) == 3
+        assert len(forked) == 4
 
     def test_one_child_per_share_but_the_callers(self, monkeypatch):
         forks = []
@@ -672,19 +737,52 @@ class TestWorkerCount:
         assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
         assert len(forked) == 1
 
-    def test_shares_balance_the_subtree_costs(self):
-        def cost(top, short, max_order):
-            return sum(k * comb(top, k - 1) * comb(short, k) for k in range(1, max_order + 1))
 
-        for lines, short, max_order in ((17, 9, 9), (13, 7, 7), (40, 4, 4), (200, 3, 2), (9, 8, 3), (5, 1, 1)):
-            for workers in range(1, min(lines, 5) + 1):
-                shares = tnn._shares(lines, short, max_order, workers)
-                assert sorted(top for share in shares for top in share) == list(range(lines))
-                assert lines - 1 in shares[0]
-                loads = [sum(cost(top, short, max_order) for top in share) for share in shares]
-                # greedy largest-first: no share exceeds another by more than its own cheapest top
-                for share, load in zip(shares, loads):
-                    assert load - min(loads) <= min(cost(top, short, max_order) for top in share)
+class TestDeal:
+    """The workers of a forked scan take the top lines off one pipe as they free up
+    (tnn._tops): whatever the interleaving, every top is taken exactly once, in
+    whole chunks, past the 256 one-byte chunks too."""
+
+    @pytest.mark.parametrize("lines", [1, 2, 255, 256, 257, 40000])
+    def test_readers_interleaved_in_one_process(self, monkeypatch, lines):
+        # three readers of the pipe _fork_map fills, advanced one top at a time in a
+        # seeded random order, so each reads its next chunk while others hold theirs
+        real, reads, rng = tnn._tops, [], random.Random(lines)
+        monkeypatch.setattr(tnn, "_tops", lambda read, lines: reads.append(read) or real(read, lines))
+
+        def scan(tops):
+            readers = [tops, real(reads[0], lines), real(reads[0], lines)]
+            taken, live = [[], [], []], [0, 1, 2]
+            while live:
+                r = rng.choice(live)
+                top = next(readers[r], None)
+                if top is None:
+                    live.remove(r)
+                else:
+                    taken[r].append(top)
+            return taken
+
+        [taken] = tnn._fork_map(scan, lines, 1)
+        check_deal(lines, taken)
+        assert all(taken) or lines < 255
+
+    @pytest.mark.parametrize("lines", [1, 2, 255, 256, 257, 40000])
+    def test_forked_workers(self, lines):
+        # the caller and two children, each pausing at every chunk it takes, so they
+        # take turns; with one or two chunks some worker takes none
+        def scan(tops):
+            taken = []
+            for top in tops:
+                if top >= lines - 256:
+                    time.sleep(0.002)
+                taken.append(top)
+            return taken
+
+        taken = tnn._fork_map(scan, lines, 3)
+        assert len(taken) == 3
+        check_deal(lines, taken)
+        assert sum(map(bool, taken)) >= (2 if lines >= 255 else 1)
+        assert_no_child_left()
 
 
 class TestChildFailure:
@@ -702,10 +800,10 @@ class TestChildFailure:
         assert is_totally_nonnegative(m, jobs=2)
 
     def test_callers_share_failing_kills_the_children(self, monkeypatch):
-        scan = tnn._scan_top
+        scan, caller = tnn._scan_top, os.getpid()
 
         def scan_top(ints, scales, wide, max_order, tops):
-            if len(ints) - 1 in tops:
+            if os.getpid() == caller:  # not `len(ints) - 1 in tops`, which takes lines off the pipe
                 raise RuntimeError("caller's share failed")
             time.sleep(60)  # a child: killed long before this ends
             return scan(ints, scales, wide, max_order, tops)
@@ -726,9 +824,9 @@ class TestChildFailure:
         script = (
             "import os, runpy, signal\n"
             "import polytnn.tnn as tnn\n"
-            "scan = tnn._scan_top\n"
+            "scan, caller = tnn._scan_top, os.getpid()\n"
             "def scan_top(ints, scales, wide, max_order, tops):\n"
-            f"    if len(ints) - 1 not in tops: {action}\n"
+            f"    if os.getpid() != caller: {action}\n"
             "    return scan(ints, scales, wide, max_order, tops)\n"
             "tnn._scan_top = scan_top\n"
             "os.cpu_count = lambda: 2\n"
