@@ -32,13 +32,13 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _check_ints(values, message: str, least: int | None = None) -> None:
-    """Refuse the first entry that is not an int, is a bool, or is below least.
+def _check_ints(values, message: str, least: int | None = None, types=int) -> None:
+    """Refuse the first entry that is not of types, is a bool, or is below least.
 
     The ValueError reads f"{message}, got {v!r}" for that entry v.
     """
     for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or (least is not None and v < least):
+        if not isinstance(v, types) or isinstance(v, bool) or (least is not None and v < least):
             raise ValueError(f"{message}, got {v!r}")
 
 

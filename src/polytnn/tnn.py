@@ -6,11 +6,12 @@ the transpose are the same), scales each by the lcm of its denominators, and
 builds the minors on lines (r0,) + S, r0 < S[0], from those on S by integer
 Laplace expansion along line r0: one generated function per (short side,
 max order), a nested loop per order with each expansion written out as
-straight-line code. With jobs > 1, each worker takes the top lines off one pipe as
-it frees up, largest first, and returns its walk's least value and first negative
-minor as integers, folded once into a clean bill or the lexicographically first
-negative minor as a witness. The scan never stops early, so the report is
-identical whichever worker took which line.
+straight-line code. Every scan deals the top lines off one pipe in contiguous
+blocks, largest first; with jobs > 1, forked workers share that pipe, each taking
+the next block as it frees up. Each worker returns its walk's least value and first
+negative minor as integers, folded once into a clean bill or the lexicographically
+first negative minor as a witness. The scan never stops early, so the report is
+identical whichever worker took which block.
 It does skip what is provably 0: when every minor on a line set S is 0, the
 lines of S are linearly dependent, so are those of every (r0,) + S, and the
 walk records the 0 and does not descend below S. iter_minors eliminates each
@@ -29,13 +30,14 @@ from math import comb, lcm, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import BudgetExceededError
+from .exactnum import _check_ints
 
 Scalar = Union[int, Fraction]
 SCAN_BUDGET = 10**7  # most minors one scan checks; --d 17 has 3,124,549
-# fewest minors worth a fork. Serial vs --jobs 2, medians of 101 interleaved runs on a
-# 2-vCPU VM in two sittings: serial won both up to 24,309 minors (8x9: 6.7 vs 10.1 and
-# 6.9 vs 8.4 ms), forked both from 38,759 up (6x14: 14.4 vs 11.3, 14.1 vs 10.2 ms), and
-# between, the winner changed with shape and sitting (7x11, 31,823: 9.1 vs 12.3, 9.3 vs 8.0).
+# fewest minors worth a fork. Serial vs jobs=2, medians of 41 interleaved library calls on
+# a 2-vCPU VM in two sittings: 8x9 (24,309 minors) tied (7.2 vs 6.9 and 6.7 vs 6.7 ms, jobs=2
+# faster in 28 and 21 of 41), while 7x11 (31,823: 10.7 vs 8.9, 8.8 vs 8.3 ms) and 6x14
+# (38,759: 15.2 vs 11.2, 13.3 vs 10.4 ms) forked faster in both; 30,000 lies between.
 FORK_MIN_WORK = 30_000
 
 __all__ = [
@@ -63,9 +65,7 @@ class ExactMatrix(NamedTuple("ExactMatrix", [("entries", tuple)])):
         for row in entries:
             if len(row) != width:
                 raise ValueError("matrix rows must all have the same length")
-            for x in row:
-                if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
-                    raise ValueError(f"matrix entries must be int or Fraction, got {x!r}")
+            _check_ints(row, "matrix entries must be int or Fraction", types=(int, Fraction))
         return super().__new__(cls, entries)
 
     @property
@@ -176,14 +176,14 @@ class TnnReport(NamedTuple):
 
 @lru_cache(maxsize=64)  # a scan in SCAN_BUDGET has at most 12 orders: C(26, 13) > 10**7
 def _walker(short: int, max_order: int):
-    """walk(ints, scales, tops, wide) -> (least, its scale, first negative or None) over
-    every line set of size <= max_order whose top (largest) line is in tops.
+    """walk(ints, scales, blocks, wide) -> (least, its scale, first negative or None) over
+    every line set of size <= max_order whose top (largest) line is in one of blocks.
 
-    Loop k takes r_k from tops (k = 1) or below r_(k-1) and holds the table of lines
-    (r_k, ..., r_1): their scale times their minors on the order-k subsets T of the
-    short side in lex order, each a Laplace expansion along r_k written out, whose
-    term l[c]*t[q] is signed by the position of c in T, q the lex rank of T without c
-    in loop k-1's table. A table of zeros means lines (r_k, ..., r_1) are linearly
+    Loop k takes r_k from each block in turn (k = 1) or below r_(k-1) and holds the
+    table of lines (r_k, ..., r_1): their scale times their minors on the order-k
+    subsets T of the short side in lex order, each a Laplace expansion along r_k
+    written out, whose term l[c]*t[q] is signed by the position of c in T, q the lex
+    rank of T without c in loop k-1's table. A table of zeros means lines (r_k, ..., r_1) are linearly
     dependent, so is every line set the loops below add to them, and each table
     there is zeros too (each entry a sum of products with this table's): after its
     least value is recorded, loop k skips to its next line. Zeros are never negative
@@ -191,17 +191,18 @@ def _walker(short: int, max_order: int):
     these indices, order * C(short, order) terms per loop, no more than the minor
     count, so SCAN_BUDGET bounds it too."""
     src = [
-        "def walk(ints, scales, tops, wide):",  # least/least_scale = 1/0 lies above every minor
+        "def walk(ints, scales, blocks, wide):",  # least/least_scale = 1/0 lies above every minor
         f"    least, least_scale, first, first_order, s0, t0_0 = 1, 0, None, {max_order}, 1, 1",
+        "    for block in blocks:",
     ]
     for k in range(1, max_order + 1):
-        pad, rank = "    " * k, {s: q for q, s in enumerate(combinations(range(short), k - 1))}
+        pad, rank = "    " * (k + 1), {s: q for q, s in enumerate(combinations(range(short), k - 1))}
         entries = (
             "".join(f"{'+-'[i % 2]}l{c}*t{k - 1}_{rank[t[:i] + t[i + 1:]]}" for i, c in enumerate(t))[1:]
             for t in combinations(range(short), k)
         )
         src += [  # values stay integers over their scales, compared by cross-multiplying
-            f"{pad}for r{k} in {'tops' if k == 1 else f'range(r{k - 1})'}:",
+            f"{pad}for r{k} in {'block' if k == 1 else f'range(r{k - 1})'}:",
             f"{pad}    {''.join(f'l{c}, ' for c in range(short))}= ints[r{k}]",
             f"{pad}    s{k} = s{k - 1} * scales[r{k}]",
             f"{pad}    t = [{', '.join(entries)}]",
@@ -250,17 +251,11 @@ def iter_minors(m, order: int):
             yield _minor(wide, lines, subset, prod(scales[i] for i in lines), det)
 
 
-def _scan_top(ints, scales, wide: bool, max_order: int, tops) -> tuple:
-    """The walker's (least, its scale, first negative or None) over the line sets
-    whose top line is in tops: ints and tuples, which a child sends by marshal."""
-    return _walker(len(ints[0]), max_order)(ints, scales, tops, wide)
-
-
-def _tops(read: int, lines: int):
-    """The top lines of each chunk j this worker reads off the pipe, one byte each, as
-    it frees up: line lines-1-j and every min(lines, 256)-th line below, largest first."""
-    while chunk := os.read(read, 1):
-        yield from range(lines - 1 - chunk[0], -1, -min(lines, 256))
+def _tops(read: int, blocks: list):
+    """The blocks of top lines this worker reads off the pipe as it frees up: one byte
+    j at a time, for blocks[j]."""
+    while j := os.read(read, 1):
+        yield blocks[j[0]]
 
 
 def _fork(scan) -> tuple:
@@ -293,18 +288,21 @@ def _fork(scan) -> tuple:
 
 
 def _fork_map(scan, lines: int, workers: int) -> list:
-    """[scan(tops) per worker]: this process and workers - 1 forked children (which inherit
-    the matrix and kernels) take the top lines off one pipe as they free up (_tops). A
-    child that exits nonzero, dies by a signal or sends no result raises ChildProcessError;
-    if this process's own scan raises, the children are killed. Every child is reaped."""
+    """[scan(blocks) per worker]: this process and workers - 1 forked children (which
+    inherit the matrix and walker) take the blocks of top lines off one pipe as they free
+    up (_tops), largest first; a lone worker forks nothing and takes every block. A child
+    that exits nonzero, dies by a signal or sends no result raises ChildProcessError; if
+    this process's own scan raises, the children are killed. Every child is reaped."""
+    size = -(-lines // 256)  # ceil(lines / 256) lines a block: at most 256 blocks, one byte each
+    blocks = [range(top, max(top - size, -1), -1) for top in range(lines - 1, -1, -size)]
     read, write = os.pipe()
     children = []
     try:
-        with open(write, "wb", 0) as deal:  # closed before any fork, so a read past the last chunk sees EOF
-            deal.write(bytes(range(min(lines, 256))))  # one write of <= 256 bytes, under PIPE_BUF: whole
+        with open(write, "wb", 0) as deal:  # closed before any fork, so a read past the last block sees EOF
+            deal.write(bytes(range(len(blocks))))  # one write of <= 256 bytes, under PIPE_BUF: whole
         for _ in range(workers - 1):
-            children.append(_fork(lambda: scan(_tops(read, lines))))
-        mine = scan(_tops(read, lines))
+            children.append(_fork(lambda: scan(_tops(read, blocks))))
+        mine = scan(_tops(read, blocks))
         sent = [pipe.read() for _, pipe in children]
     except BaseException:
         import signal  # only a failing scan pays for the import
@@ -343,21 +341,19 @@ def check_scan(rows: int, cols: int, max_order: Optional[int] = None, jobs: int 
 def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) -> TnnReport:
     """Scan all minors up to max_order (default: all orders) exactly.
 
-    check_scan refuses bad arguments and more than SCAN_BUDGET minors up front.
-    min(jobs, lines, CPUs) workers, this process and forked children, take the top
-    lines largest first as they free up (_fork_map). Below FORK_MIN_WORK minors,
-    or without os.fork, one walk here covers every line. The report (witness: the
-    lexicographically first negative minor), folded here from the workers' raw
-    results, does not depend on jobs or on which worker took which line."""
+    check_scan refuses bad arguments and more than SCAN_BUDGET minors up front. Every
+    scan goes through _fork_map: min(jobs, lines, CPUs) workers, this process and forked
+    children, take blocks of top lines largest first as they free up; below
+    FORK_MIN_WORK minors, or without os.fork, this process is the one worker and forks
+    nothing. The report (witness: the lexicographically first negative minor), folded
+    here from the workers' raw results, does not depend on jobs or on which worker took
+    which block."""
     mat = as_matrix(m)
     max_order, work = check_scan(mat.rows, mat.cols, max_order, jobs)
     ints, scales, wide = _clear(mat)
-    _walker(len(ints[0]), max_order)  # cached before the fork, so the children inherit it
-    workers = min(jobs, len(ints), os.cpu_count() or 1)
-    if workers == 1 or work < FORK_MIN_WORK or not hasattr(os, "fork"):
-        results = [_scan_top(ints, scales, wide, max_order, range(len(ints)))]
-    else:
-        results = _fork_map(lambda tops: _scan_top(ints, scales, wide, max_order, tops), len(ints), workers)
+    walk = _walker(len(ints[0]), max_order)  # bound before any fork, so the children inherit it
+    workers = min(jobs, len(ints), os.cpu_count() or 1) if work >= FORK_MIN_WORK and hasattr(os, "fork") else 1
+    results = _fork_map(lambda blocks: walk(ints, scales, blocks, wide), len(ints), workers)
     first = min((r[2] for r in results if r[2] is not None), default=None)  # keys are unique
     if first is not None:  # the witness
         _, lines, scale, i, value = first

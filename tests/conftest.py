@@ -8,7 +8,7 @@ import polytnn.tnn as tnn
 
 @pytest.fixture
 def forking_cli():
-    """The argv of `python -m polytnn` with the serial cut-off at 0, so a small
+    """The argv of `python -m polytnn` with the fork cut-off at 0, so a small
     `tnn --jobs N` scan forks as a large one does; append the CLI arguments."""
     return [
         sys.executable,

@@ -184,7 +184,7 @@ class TestTnnCommand:
 
     def test_long_thin_parallel_finishes(self, tmp_path):
         # 40,000 top lines of one minor each, over tnn.FORK_MIN_WORK: --jobs 2
-        # deals them in 256 chunks of every 256th line, not one read per line
+        # deals them in 255 blocks of 157 contiguous lines, not one read per line
         line = ",".join(str(i % 7 + 1) for i in range(40000))
         for name, text in (("wide.csv", line + "\n"), ("tall.csv", line.replace(",", "\n") + "\n")):
             f = tmp_path / name

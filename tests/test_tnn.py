@@ -54,10 +54,11 @@ def plain(x) -> bool:
 
 
 def share_report(rows, max_order, tops):
-    """tnn._scan_top's raw (least, scale, first) over tops, converted here on its own
-    into (least minor, MinorWitness or None), for comparison with bareiss_scan."""
+    """The walker's raw (least, scale, first) over tops, taken as one block, converted
+    here on its own into (least minor, MinorWitness or None), for comparison with
+    bareiss_scan."""
     ints, scales, wide = tnn._clear(as_matrix(rows))
-    got = tnn._scan_top(ints, scales, wide, max_order, tops)
+    got = tnn._walker(len(ints[0]), max_order)(ints, scales, [tops], wide)
     assert plain(got), got  # what a forked child sends by marshal
     least, scale, first = got
     witness = None
@@ -71,43 +72,47 @@ def share_report(rows, max_order, tops):
 
 def random_deal(rng, record):
     """A tnn._fork_map that deals the top lines, shuffled, into workers parts at
-    random cut points, some of them empty, scans each part here and records
-    (parts, results)."""
+    random cut points, some of them empty, scans each part here as one block and
+    records (parts, results)."""
 
     def fork_map(scan, lines, workers):
         tops = rng.sample(range(lines), lines)
         cuts = sorted(rng.choices(range(lines + 1), k=workers - 1))
         parts = [tops[a:b] for a, b in zip([0] + cuts, cuts + [lines])]
-        record.append((parts, [scan(part) for part in parts]))
+        record.append((parts, [scan([part]) for part in parts]))
         return record[-1][1]
 
     return fork_map
 
 
-def inline_fork_map(on_fork):
-    """A stand-in for tnn._fork_map: calls on_fork(workers) where the real one
-    forks workers - 1 children, then scans here as if the first worker took
-    every top line and the others none."""
+def inline_fork_map(on_call):
+    """A stand-in for tnn._fork_map: calls on_call(workers) (1 for a scan that forks
+    nothing; the real one forks workers - 1 children), then scans here as if the
+    first worker took every top line, as one block, and the others none."""
 
     def fork_map(scan, lines, workers):
-        on_fork(workers)
-        return [scan(range(lines - 1, -1, -1))] + [scan(()) for _ in range(workers - 1)]
+        on_call(workers)
+        return [scan([range(lines - 1, -1, -1)])] + [scan([]) for _ in range(workers - 1)]
 
     return fork_map
 
 
-def failing_shares(action):
-    """A tnn._scan_top that calls action() in every forked child and never in the
-    caller, which it tells by its pid: the tops are dealt as the scan runs, so no
-    worker knows its lines up front."""
-    scan, caller = tnn._scan_top, os.getpid()
+def walker_by_pid(monkeypatch, here, child):
+    """Patch tnn._walker so that each walk runs here(walk, blocks) in this process
+    and child(walk, blocks) in a forked one, walk(blocks) being the real walk. The
+    blocks are dealt as the scan runs, so no worker knows its lines up front: the
+    caller is told by its pid."""
+    walker, caller = tnn._walker, os.getpid()
 
-    def scan_top(ints, scales, wide, max_order, tops):
-        if os.getpid() != caller:
-            action()
-        return scan(ints, scales, wide, max_order, tops)
+    def patched(short, max_order):
+        real = walker(short, max_order)
 
-    return scan_top
+        def walk(ints, scales, blocks, wide):
+            return (here if os.getpid() == caller else child)(lambda b: real(ints, scales, b, wide), blocks)
+
+        return walk
+
+    monkeypatch.setattr(tnn, "_walker", patched)
 
 
 def typed(report):
@@ -116,19 +121,19 @@ def typed(report):
 
 
 def check_deal(lines, taken):
-    """taken holds the tops each reader of one dealing pipe took, in order: every top
-    exactly once, in whole chunks taken in pipe order, each chunk top line
-    lines-1-j and every min(lines, 256)-th line below it, largest first."""
-    step = min(lines, 256)
-    assert sorted(top for tops in taken for top in tops) == list(range(lines))
+    """taken holds the blocks (lists of top lines) each reader of one dealing pipe
+    took, in order: every top line exactly once, in at most 256 blocks, each whole:
+    the contiguous descending ceil(lines / 256) lines from lines-1-j*that, fewer only
+    in the last, which ends at line 0; and each reader's blocks largest first."""
+    size = -(-lines // 256)
+    blocks = [block for tops in taken for block in tops]
+    assert len(blocks) <= 256
+    assert sorted(top for block in blocks for top in block) == list(range(lines))
+    for block in blocks:
+        assert (lines - 1 - block[0]) % size == 0, (lines, block[0])
+        assert block == list(range(block[0], max(block[0] - size, -1), -1)), (lines, block[0])
     for tops in taken:
-        starts, i = [], 0
-        while i < len(tops):
-            chunk = list(range(tops[i], -1, -step))
-            assert tops[i] >= lines - step and tops[i : i + len(chunk)] == chunk, (lines, tops[i])
-            starts.append(tops[i])
-            i += len(chunk)
-        assert starts == sorted(starts, reverse=True)
+        assert [block[0] for block in tops] == sorted((block[0] for block in tops), reverse=True)
 
 
 def raise_error():
@@ -401,12 +406,9 @@ class TestIsTotallyNonnegative:
         # entry; the caller takes no top row, so its one child walks all three and sends them
         m = ExactMatrix(((value, 0, 0), (0, 0, 0), (0, 0, 0)))
         serial = is_totally_nonnegative(m)
-        scan, caller = tnn._scan_top, os.getpid()
-        monkeypatch.setattr(
-            tnn, "_scan_top", lambda *args: scan(*args[:-1], () if os.getpid() == caller else args[-1])
-        )
+        walker_by_pid(monkeypatch, lambda walk, blocks: walk(()), lambda walk, blocks: walk(blocks))
         report = is_totally_nonnegative(m, jobs=2)
-        assert fork_always == [caller]
+        assert fork_always == [os.getpid()]
         assert typed(report) == typed(serial)
         assert report == TnnReport(False, 19, value, MinorWitness((0,), (0,), value))
 
@@ -493,6 +495,23 @@ class TestAgainstBareissScan:
         for jobs in (1, 2):
             assert is_totally_nonnegative(rows, jobs=jobs) == expected
 
+    @pytest.mark.parametrize(
+        "seed, shape, entries, answer",
+        [
+            # CI's long.csv: 400 walked columns, so 200 blocks of 2
+            (3, (2, 400), (0, 9), (False, 80600, -81, MinorWitness((0, 1), (0, 1), -69))),
+            # 3,000 walked columns, so 250 blocks of 12
+            (4, (1, 3000), (-5, 9), (False, 3000, -5, MinorWitness((0,), (0,), -2))),
+        ],
+    )
+    def test_long_inputs_in_multi_line_blocks(self, seed, shape, entries, answer):
+        # one worker takes every block: the report is the Bareiss scan's, value and type
+        rng = random.Random(seed)
+        rows = tuple(tuple(rng.randint(*entries) for _ in range(shape[1])) for _ in range(shape[0]))
+        report = is_totally_nonnegative(rows, jobs=1)
+        assert typed(report) == typed(expected_report(bareiss_scan(rows)))
+        assert report == answer
+
     def test_witness_orientation(self):
         # wide, so its columns are walked: its negative entries (0, 1) and (1, 0)
         # come first in (rows, cols) and in (cols, rows) order respectively
@@ -536,14 +555,14 @@ class TestWalker:
     def test_built_before_the_first_fork(self, monkeypatch):
         built = []
         monkeypatch.setattr(
-            tnn, "_fork_map", inline_fork_map(lambda shares: built.append(tnn._walker.cache_info().currsize))
+            tnn, "_fork_map", inline_fork_map(lambda workers: built.append(tnn._walker.cache_info().currsize))
         )
         monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
         tnn._walker.cache_clear()
         m = transfer_matrix(7)  # 4x7: one walker, short side 4 and orders 1..4
         assert is_totally_nonnegative(m, jobs=2) == is_totally_nonnegative(m)
-        assert built == [1]
+        assert built == [1, 1]
 
 
 class TestDependentLines:
@@ -557,7 +576,7 @@ class TestDependentLines:
             ints, scales, wide = tnn._clear(as_matrix(rows))
             short, lines = len(ints[0]), len(ints)
             built = counting_min(monkeypatch, short, short)
-            tnn._scan_top(ints, scales, wide, short, range(lines))
+            tnn._walker(short, short)(ints, scales, [range(lines)], wide)
             assert len(built) < sum(comb(lines, k) for k in range(1, short + 1)), rows
 
     def test_planted_dependencies_forked(self, fork_always):
@@ -659,7 +678,8 @@ class TestFold:
         monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
         for rows in line_scaled_matrices()[::4] + [((Fraction(1, 2), 1), (0, Fraction(3, 4)))]:
-            assert typed(is_totally_nonnegative(rows, jobs=2)) == typed(is_totally_nonnegative(rows)), rows
+            serial = typed(is_totally_nonnegative(rows))
+            assert typed(is_totally_nonnegative(rows, jobs=2)) == serial, rows
             assert dealt[-1][0 if empty_first else 1] == (1, 0, None)
 
     @pytest.mark.parametrize(
@@ -686,24 +706,26 @@ class TestWorkerCount:
         monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
         m = ExactMatrix(((1, 2), (3, 4)))  # two top rows
         serial = is_totally_nonnegative(m)
+        assert forked == [1]  # jobs 1: one worker, through the same route
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         assert is_totally_nonnegative(m, jobs=10**9) == serial
-        assert forked == [2]  # capped by the lines: one child
+        assert forked[-1] == 2  # capped by the lines: one child
         wide = ExactMatrix(((1, 2, -1), (3, 4, 0)))  # three top columns
         wide_serial = is_totally_nonnegative(wide)
         assert is_totally_nonnegative(wide, jobs=10**9) == wide_serial
-        assert forked[1] == 3  # capped by the lines
+        assert forked[-1] == 3  # capped by the lines
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
         assert is_totally_nonnegative(wide, jobs=10**9) == wide_serial
-        assert forked[2] == 2  # capped by the CPUs
+        assert forked[-1] == 2  # capped by the CPUs
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         assert is_totally_nonnegative(wide, jobs=2) == wide_serial
-        assert forked[3] == 2  # capped by jobs
+        assert forked[-1] == 2  # capped by jobs
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: None)
         assert is_totally_nonnegative(m, jobs=8) == serial
+        assert forked[-1] == 1  # no CPU count: one worker
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         assert is_totally_nonnegative(ExactMatrix(((5,),)), jobs=8)
-        assert len(forked) == 4
+        assert forked == [1, 2, 1, 3, 2, 2, 1, 1]
 
     def test_one_child_per_share_but_the_callers(self, monkeypatch):
         forks = []
@@ -713,7 +735,7 @@ class TestWorkerCount:
         monkeypatch.setattr(tnn.os, "fork", lambda: forks.append(os.getpid()) or fork())
         m = transfer_matrix(7)  # 4x7: seven top columns
         serial = is_totally_nonnegative(m)
-        for jobs, children in ((2, 1), (3, 2), (7, 6), (99, 6)):
+        for jobs, children in ((1, 0), (2, 1), (3, 2), (7, 6), (99, 6)):
             forks.clear()
             assert is_totally_nonnegative(m, jobs=jobs) == serial
             assert forks == [os.getpid()] * children, jobs
@@ -725,41 +747,42 @@ class TestWorkerCount:
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 4)
         small = transfer_matrix(9)  # 5x9: 2,001 minors
         assert tnn.FORK_MIN_WORK > 2001
-        assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
-        assert forked == []
-        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 2002)
-        assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
-        assert forked == []
-        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 2001)
-        assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
-        assert len(forked) == 1
+        for cut_off, workers in ((tnn.FORK_MIN_WORK, 1), (2002, 1), (2001, 2)):
+            monkeypatch.setattr(tnn, "FORK_MIN_WORK", cut_off)
+            forked.clear()
+            assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
+            assert forked == [workers, 1], cut_off  # jobs 2, then jobs 1
         monkeypatch.delattr(tnn.os, "fork")
+        forked.clear()
         assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
-        assert len(forked) == 1
+        assert forked == [1, 1]
 
 
 class TestDeal:
-    """The workers of a forked scan take the top lines off one pipe as they free up
-    (tnn._tops): whatever the interleaving, every top is taken exactly once, in
-    whole chunks, past the 256 one-byte chunks too."""
+    """Every scan's workers take the top lines off one pipe as they free up
+    (tnn._tops), in contiguous blocks: whatever the interleaving, every top is taken
+    exactly once, in whole blocks, largest first, at most 256 of them."""
 
     @pytest.mark.parametrize("lines", [1, 2, 255, 256, 257, 40000])
     def test_readers_interleaved_in_one_process(self, monkeypatch, lines):
-        # three readers of the pipe _fork_map fills, advanced one top at a time in a
-        # seeded random order, so each reads its next chunk while others hold theirs
+        # three readers of the pipe a lone worker's _fork_map fills, advanced one block
+        # at a time in a seeded random order, so each reads its next block while others
+        # hold theirs
         real, reads, rng = tnn._tops, [], random.Random(lines)
-        monkeypatch.setattr(tnn, "_tops", lambda read, lines: reads.append(read) or real(read, lines))
+        monkeypatch.setattr(tnn, "_tops", lambda read, blocks: reads.append((read, blocks)) or real(read, blocks))
+        monkeypatch.setattr(tnn, "_fork", None)  # a lone worker forks nothing
 
-        def scan(tops):
-            readers = [tops, real(reads[0], lines), real(reads[0], lines)]
+        def scan(blocks):
+            readers = [blocks, real(*reads[0]), real(*reads[0])]
             taken, live = [[], [], []], [0, 1, 2]
             while live:
                 r = rng.choice(live)
-                top = next(readers[r], None)
-                if top is None:
+                block = next(readers[r], None)
+                if block is None:
                     live.remove(r)
                 else:
-                    taken[r].append(top)
+                    assert type(block) is range
+                    taken[r].append(list(block))
             return taken
 
         [taken] = tnn._fork_map(scan, lines, 1)
@@ -768,14 +791,14 @@ class TestDeal:
 
     @pytest.mark.parametrize("lines", [1, 2, 255, 256, 257, 40000])
     def test_forked_workers(self, lines):
-        # the caller and two children, each pausing at every chunk it takes, so they
-        # take turns; with one or two chunks some worker takes none
-        def scan(tops):
+        # the caller and two children, each pausing at every block it takes, so they
+        # take turns; with one or two blocks some worker takes none
+        def scan(blocks):
             taken = []
-            for top in tops:
-                if top >= lines - 256:
-                    time.sleep(0.002)
-                taken.append(top)
+            for block in blocks:
+                assert type(block) is range
+                time.sleep(0.002)
+                taken.append(list(block))
             return taken
 
         taken = tnn._fork_map(scan, lines, 3)
@@ -788,9 +811,9 @@ class TestDeal:
 class TestChildFailure:
     @pytest.mark.parametrize("action, message", [(raise_error, "exited with code 1"), (kill_self, "died by signal 9")])
     def test_failed_child_raises_and_is_reaped(self, monkeypatch, capfd, action, message):
-        monkeypatch.setattr(tnn, "_scan_top", failing_shares(action))
+        walker_by_pid(monkeypatch, lambda walk, blocks: walk(blocks), lambda walk, blocks: action() or walk(blocks))
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 3)
-        m = transfer_matrix(13)  # 7x13: 77,519 minors, over the serial cut-off
+        m = transfer_matrix(13)  # 7x13: 77,519 minors, over the fork cut-off
         for jobs in (2, 3):
             with pytest.raises(ChildProcessError, match=message):
                 is_totally_nonnegative(m, jobs=jobs)
@@ -800,15 +823,11 @@ class TestChildFailure:
         assert is_totally_nonnegative(m, jobs=2)
 
     def test_callers_share_failing_kills_the_children(self, monkeypatch):
-        scan, caller = tnn._scan_top, os.getpid()
+        def here(walk, blocks):
+            raise RuntimeError("caller's share failed")
 
-        def scan_top(ints, scales, wide, max_order, tops):
-            if os.getpid() == caller:  # not `len(ints) - 1 in tops`, which takes lines off the pipe
-                raise RuntimeError("caller's share failed")
-            time.sleep(60)  # a child: killed long before this ends
-            return scan(ints, scales, wide, max_order, tops)
-
-        monkeypatch.setattr(tnn, "_scan_top", scan_top)
+        # a child sleeps: it is killed long before this ends
+        walker_by_pid(monkeypatch, here, lambda walk, blocks: time.sleep(60) or walk(blocks))
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 3)
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="caller's share failed"):
@@ -824,11 +843,11 @@ class TestChildFailure:
         script = (
             "import os, runpy, signal\n"
             "import polytnn.tnn as tnn\n"
-            "scan, caller = tnn._scan_top, os.getpid()\n"
-            "def scan_top(ints, scales, wide, max_order, tops):\n"
-            f"    if os.getpid() != caller: {action}\n"
-            "    return scan(ints, scales, wide, max_order, tops)\n"
-            "tnn._scan_top = scan_top\n"
+            "fork = tnn._fork\n"
+            "def child_scan(scan):\n"
+            f"    {action}\n"
+            "    return scan()\n"
+            "tnn._fork = lambda scan: fork(lambda: child_scan(scan))\n"
             "os.cpu_count = lambda: 2\n"
             "runpy.run_module('polytnn', run_name='__main__')\n"
         )
@@ -890,6 +909,22 @@ class TestValidation:
     def test_bool_rejected(self):
         with pytest.raises(ValueError):
             ExactMatrix(((True, 2), (3, 4)))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (((1, True),), "matrix entries must be int or Fraction, got True"),
+            (((Fraction(1, 2), "1"),), "matrix entries must be int or Fraction, got '1'"),
+            (((1, 2), (3, 1.0)), "matrix entries must be int or Fraction, got 1.0"),
+            (((),), "matrix rows must be nonempty"),
+            (((1, 2), (3,)), "matrix rows must all have the same length"),
+            ((), "matrix must have at least one row"),
+        ],
+    )
+    def test_messages(self, entries, message):
+        with pytest.raises(ValueError) as err:
+            ExactMatrix(entries)
+        assert str(err.value) == message
 
     def test_as_matrix_accepts_nested_lists(self):
         m = as_matrix([[1, 2], [3, 4]])
