@@ -34,11 +34,6 @@ from .exactnum import _check_ints
 
 Scalar = Union[int, Fraction]
 SCAN_BUDGET = 10**7  # most minors one scan checks; --d 17 has 3,124,549
-# fewest minors worth a fork. Serial vs jobs=2, medians of 41 interleaved library calls on
-# a 2-vCPU VM in two sittings: 8x9 (24,309 minors) tied (7.2 vs 6.9 and 6.7 vs 6.7 ms, jobs=2
-# faster in 28 and 21 of 41), while 7x11 (31,823: 10.7 vs 8.9, 8.8 vs 8.3 ms) and 6x14
-# (38,759: 15.2 vs 11.2, 13.3 vs 10.4 ms) forked faster in both; 30,000 lies between.
-FORK_MIN_WORK = 30_000
 
 __all__ = [
     "ExactMatrix",
@@ -343,16 +338,15 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
 
     check_scan refuses bad arguments and more than SCAN_BUDGET minors up front. Every
     scan goes through _fork_map: min(jobs, lines, CPUs) workers, this process and forked
-    children, take blocks of top lines largest first as they free up; below
-    FORK_MIN_WORK minors, or without os.fork, this process is the one worker and forks
-    nothing. The report (witness: the lexicographically first negative minor), folded
-    here from the workers' raw results, does not depend on jobs or on which worker took
-    which block."""
+    children, take blocks of top lines largest first as they free up; without os.fork,
+    this process is the one worker and forks nothing. The report (witness: the
+    lexicographically first negative minor), folded here from the workers' raw results,
+    does not depend on jobs or on which worker took which block."""
     mat = as_matrix(m)
     max_order, work = check_scan(mat.rows, mat.cols, max_order, jobs)
     ints, scales, wide = _clear(mat)
     walk = _walker(len(ints[0]), max_order)  # bound before any fork, so the children inherit it
-    workers = min(jobs, len(ints), os.cpu_count() or 1) if work >= FORK_MIN_WORK and hasattr(os, "fork") else 1
+    workers = min(jobs, len(ints), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     results = _fork_map(lambda blocks: walk(ints, scales, blocks, wide), len(ints), workers)
     first = min((r[2] for r in results if r[2] is not None), default=None)  # keys are unique
     if first is not None:  # the witness

@@ -183,8 +183,8 @@ class TestTnnCommand:
             assert capsys.readouterr() == ("", f"error: {error}\n"), args
 
     def test_long_thin_parallel_finishes(self, tmp_path):
-        # 40,000 top lines of one minor each, over tnn.FORK_MIN_WORK: --jobs 2
-        # deals them in 255 blocks of 157 contiguous lines, not one read per line
+        # 40,000 top lines of one minor each: --jobs 2 deals them in 255 blocks
+        # of 157 contiguous lines, not one read per line
         line = ",".join(str(i % 7 + 1) for i in range(40000))
         for name, text in (("wide.csv", line + "\n"), ("tall.csv", line.replace(",", "\n") + "\n")):
             f = tmp_path / name
@@ -374,6 +374,11 @@ class TestLgvCommand:
                 assert cli.main(["lgv", "--n", "8", *indices, *extra]) == 2
                 assert capsys.readouterr() == ("", "usage error: --rows and --cols require --verify\n")
         assert not out.exists()
+
+    def test_verify_without_rows_and_cols_is_usage_error(self, capsys):
+        for indices in ([], ["--rows", "0"], ["--cols", "1"]):
+            assert cli.main(["lgv", "--n", "5", "--verify", *indices]) == 2
+            assert capsys.readouterr() == ("", "usage error: --verify requires --rows and --cols\n"), indices
 
     def test_format_with_verify_or_dot_is_usage_error(self, tmp_path, capsys):
         # --verify and --dot have one output each; a --format json/dot beside them used to be ignored

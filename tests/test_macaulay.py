@@ -169,6 +169,10 @@ class TestIsMSequence:
             is_m_sequence([True, True])
         with pytest.raises(ValueError, match="^oracle_is_m_sequence: entries must be nonnegative integers, got False$"):
             oracle_is_m_sequence([1, False], 1)
+        with pytest.raises(ValueError, match="^oracle_is_m_sequence: sequence must be nonempty$"):
+            oracle_is_m_sequence([], 1)
+        with pytest.raises(ValueError, match="^oracle_is_m_sequence: max_vars must be >= 0, got -1$"):
+            oracle_is_m_sequence([1, 2], -1)
 
 
 class TestOracle:

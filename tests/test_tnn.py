@@ -557,7 +557,6 @@ class TestWalker:
         monkeypatch.setattr(
             tnn, "_fork_map", inline_fork_map(lambda workers: built.append(tnn._walker.cache_info().currsize))
         )
-        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
         tnn._walker.cache_clear()
         m = transfer_matrix(7)  # 4x7: one walker, short side 4 and orders 1..4
@@ -648,7 +647,6 @@ class TestFold:
         # the serial one in value and in type, an int exactly when the value is whole
         rng, dealt = random.Random(20261022), []
         monkeypatch.setattr(tnn, "_fork_map", random_deal(rng, dealt))
-        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         for rows in line_scaled_matrices() + shaped_matrices() + walker_matrices():
             lines = max(len(rows), len(rows[0]))
@@ -675,7 +673,6 @@ class TestFold:
             return dealt[-1]
 
         monkeypatch.setattr(tnn, "_fork_map", fork_map)
-        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 2)
         for rows in line_scaled_matrices()[::4] + [((Fraction(1, 2), 1), (0, Fraction(3, 4)))]:
             serial = typed(is_totally_nonnegative(rows))
@@ -703,7 +700,6 @@ class TestWorkerCount:
     def test_workers_capped_by_tasks_and_cpus(self, monkeypatch):
         forked = []
         monkeypatch.setattr(tnn, "_fork_map", inline_fork_map(forked.append))
-        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
         m = ExactMatrix(((1, 2), (3, 4)))  # two top rows
         serial = is_totally_nonnegative(m)
         assert forked == [1]  # jobs 1: one worker, through the same route
@@ -730,7 +726,6 @@ class TestWorkerCount:
     def test_one_child_per_share_but_the_callers(self, monkeypatch):
         forks = []
         fork = os.fork
-        monkeypatch.setattr(tnn, "FORK_MIN_WORK", 0)
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(tnn.os, "fork", lambda: forks.append(os.getpid()) or fork())
         m = transfer_matrix(7)  # 4x7: seven top columns
@@ -741,17 +736,14 @@ class TestWorkerCount:
             assert forks == [os.getpid()] * children, jobs
         assert_no_child_left()
 
-    def test_no_fork_below_the_cut_off_or_without_os_fork(self, monkeypatch):
+    def test_small_scans_fork_but_not_without_os_fork(self, monkeypatch):
+        # no minor count keeps a scan serial: only jobs, lines, CPUs and os.fork count
         forked = []
         monkeypatch.setattr(tnn, "_fork_map", inline_fork_map(forked.append))
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 4)
         small = transfer_matrix(9)  # 5x9: 2,001 minors
-        assert tnn.FORK_MIN_WORK > 2001
-        for cut_off, workers in ((tnn.FORK_MIN_WORK, 1), (2002, 1), (2001, 2)):
-            monkeypatch.setattr(tnn, "FORK_MIN_WORK", cut_off)
-            forked.clear()
-            assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
-            assert forked == [workers, 1], cut_off  # jobs 2, then jobs 1
+        assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
+        assert forked == [2, 1]  # jobs 2, then jobs 1
         monkeypatch.delattr(tnn.os, "fork")
         forked.clear()
         assert is_totally_nonnegative(small, jobs=2) == is_totally_nonnegative(small)
@@ -813,7 +805,7 @@ class TestChildFailure:
     def test_failed_child_raises_and_is_reaped(self, monkeypatch, capfd, action, message):
         walker_by_pid(monkeypatch, lambda walk, blocks: walk(blocks), lambda walk, blocks: action() or walk(blocks))
         monkeypatch.setattr(tnn.os, "cpu_count", lambda: 3)
-        m = transfer_matrix(13)  # 7x13: 77,519 minors, over the fork cut-off
+        m = transfer_matrix(13)  # 7x13: 77,519 minors
         for jobs in (2, 3):
             with pytest.raises(ChildProcessError, match=message):
                 is_totally_nonnegative(m, jobs=jobs)
@@ -834,6 +826,28 @@ class TestChildFailure:
             is_totally_nonnegative(transfer_matrix(13), jobs=3)
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+    def test_failed_fork_closes_its_pipes_and_reaps_the_child(self, monkeypatch):
+        # the second fork fails (as when the process limit is reached): the error reaches
+        # the caller, the child already forked is reaped, and no pipe end is left open
+        fork, pipe, forks, fds = os.fork, os.pipe, [], []
+
+        def failing_fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(tnn.os, "fork", failing_fork)
+        monkeypatch.setattr(tnn.os, "pipe", lambda: fds.extend(pipe()) or tuple(fds[-2:]))
+        monkeypatch.setattr(tnn.os, "cpu_count", lambda: 3)
+        with pytest.raises(BlockingIOError):
+            is_totally_nonnegative(transfer_matrix(9), jobs=3)
+        assert len(forks) == 2 and len(fds) == 6  # the dealing pipe and one per fork
+        assert_no_child_left()
+        for fd in fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
     @pytest.mark.parametrize(
         "action, cause",

@@ -125,6 +125,7 @@ class TestSerialization:
     def test_parse_csv(self):
         assert parse_matrix_csv("1,2\n3,4\n") == ((1, 2), (3, 4))
         assert parse_matrix_csv("1,2\n3,4") == ((1, 2), (3, 4))
+        assert parse_matrix_csv("1,2\n\n   \n3,4\n") == ((1, 2), (3, 4))  # blank lines are skipped
 
     def test_parse_csv_rationals(self):
         assert parse_matrix_csv("1/2,3\n-2/7,0\n") == (
@@ -160,6 +161,9 @@ class TestSerialization:
             parse_matrix_json(json.dumps({"rows": [[1, 2], [3]]}))
         with pytest.raises(ValueError):
             parse_matrix_json(json.dumps({"cols": [[1]]}))
+        for rows in ([], 3):
+            with pytest.raises(ValueError, match='^parse_matrix_json: "rows" must be a nonempty list$'):
+                parse_matrix_json(json.dumps({"rows": rows}))
 
 
 class TestValidation:
