@@ -8,10 +8,10 @@ Laplace expansion along line r0: one generated function per (short side,
 max order), a nested loop per order with each expansion written out as
 straight-line code. Every scan deals the top lines off one pipe in contiguous
 blocks, largest first; with jobs > 1, forked workers share that pipe, each taking
-the next block as it frees up. Each worker returns its walk's least value and first
-negative minor as integers, folded once into a clean bill or the lexicographically
-first negative minor as a witness. The scan never stops early, so the report is
-identical whichever worker took which block.
+the next block as it frees up. Each worker returns its least value, an integer over
+its scale, and its first negative minor as (order, rows, cols), folded once into a
+clean bill or the lexicographically first as a witness, valued by determinant. The
+scan never stops early, so the report is identical whichever worker took which block.
 It does skip what is provably 0: when every minor on a line set S is 0, the
 lines of S are linearly dependent, so are those of every (r0,) + S, and the
 walk records the 0 and does not descend below S. iter_minors eliminates each
@@ -25,7 +25,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb, lcm, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -171,14 +171,16 @@ class TnnReport(NamedTuple):
 
 @lru_cache(maxsize=64)  # a scan in SCAN_BUDGET has at most 12 orders: C(26, 13) > 10**7
 def _walker(short: int, max_order: int):
-    """walk(ints, scales, blocks, wide) -> (least, its scale, first negative or None) over
-    every line set of size <= max_order whose top (largest) line is in one of blocks.
+    """walk(ints, scales, blocks, wide) -> (least, its scale, (order, rows, cols) of the
+    first negative minor or None) over every line set of size <= max_order whose top
+    (largest) line is in one of blocks.
 
     Loop k takes r_k from each block in turn (k = 1) or below r_(k-1) and holds the
     table of lines (r_k, ..., r_1): their scale times their minors on the order-k
-    subsets T of the short side in lex order, each a Laplace expansion along r_k
-    written out, whose term l[c]*t[q] is signed by the position of c in T, q the lex
-    rank of T without c in loop k-1's table. A table of zeros means lines (r_k, ..., r_1) are linearly
+    subsets T of the short side in lex order (subsets{k}, where _first_negative finds
+    a negative entry's T), each a Laplace expansion along r_k written out, whose term
+    l[c]*t[q] is signed by the position of c in T, q the lex rank of T without c in
+    loop k-1's table. A table of zeros means lines (r_k, ..., r_1) are linearly
     dependent, so is every line set the loops below add to them, and each table
     there is zeros too (each entry a sum of products with this table's): after its
     least value is recorded, loop k skips to its next line. Zeros are never negative
@@ -206,7 +208,7 @@ def _walker(short: int, max_order: int):
             f"{pad}        least, least_scale = low, s{k}",
             f"{pad}    if low < 0 and {k} <= first_order:  # a lower order wins",
             f"{pad}        lines = ({''.join(f'r{j}, ' for j in range(k, 0, -1))})",
-            f"{pad}        first, first_order = _first_negative(first, lines, s{k}, t, wide), {k}",
+            f"{pad}        first, first_order = _first_negative(first, lines, t, subsets{k}, wide), {k}",
         ]
         if k < max_order:  # a table of zeros: every line set added to these is dependent too
             src += [
@@ -216,21 +218,18 @@ def _walker(short: int, max_order: int):
             ]
     src.append("    return least, least_scale, first")
     namespace = {"_first_negative": _first_negative}
+    namespace.update((f"subsets{k}", list(combinations(range(short), k))) for k in range(1, max_order + 1))
     exec(compile("\n".join(src), f"<tnn walker short={short} max_order={max_order}>", "exec"), namespace)
     return namespace["walk"]
 
 
-def _first_negative(first, lines: tuple, scale: int, table: list, wide: bool) -> tuple:
-    """The lesser in (order, rows, cols) of first and the table's first negative
-    entry, as (key, lines, scale, index, value)."""
-    i = next(i for i, v in enumerate(table) if v < 0)
-    key = (len(lines), i, lines) if wide else (len(lines), lines, i)
-    return first if first is not None and first[0] <= key else (key, lines, scale, i, table[i])
-
-
-def _minor(wide: bool, lines: tuple, subset: tuple, scale: int, value: int) -> MinorWitness:
-    """The minor on lines and a subset of the short side, whose scaled value is value."""
-    return MinorWitness(*((subset, lines) if wide else (lines, subset)), _exact(value, scale))
+def _first_negative(first, lines: tuple, table: list, subsets: list, wide: bool) -> tuple:
+    """The lesser of first and the table's first negative minor, on lines and a subset
+    of the short side, as (order, rows, cols): subsets lists those in lex order, so
+    tuple order is the lexicographic order of minors."""
+    subset = subsets[next(i for i, v in enumerate(table) if v < 0)]
+    here = (len(lines), subset, lines) if wide else (len(lines), lines, subset)
+    return first if first is not None and first <= here else here
 
 
 def iter_minors(m, order: int):
@@ -243,7 +242,7 @@ def iter_minors(m, order: int):
         for cols in combinations(range(mat.cols), order):
             lines, subset = (cols, rows) if wide else (rows, cols)
             det = _bareiss([[ints[i][j] for j in subset] for i in lines])
-            yield _minor(wide, lines, subset, prod(scales[i] for i in lines), det)
+            yield MinorWitness(rows, cols, _exact(det, prod(scales[i] for i in lines)))
 
 
 def _tops(read: int, blocks: list):
@@ -340,17 +339,17 @@ def is_totally_nonnegative(m, max_order: Optional[int] = None, jobs: int = 1) ->
     scan goes through _fork_map: min(jobs, lines, CPUs) workers, this process and forked
     children, take blocks of top lines largest first as they free up; without os.fork,
     this process is the one worker and forks nothing. The report (witness: the
-    lexicographically first negative minor), folded here from the workers' raw results,
-    does not depend on jobs or on which worker took which block."""
+    lexicographically first negative minor, valued by determinant), folded here from
+    the workers' raw results, does not depend on jobs or on which worker took which block."""
     mat = as_matrix(m)
     max_order, work = check_scan(mat.rows, mat.cols, max_order, jobs)
     ints, scales, wide = _clear(mat)
     walk = _walker(len(ints[0]), max_order)  # bound before any fork, so the children inherit it
     workers = min(jobs, len(ints), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     results = _fork_map(lambda blocks: walk(ints, scales, blocks, wide), len(ints), workers)
-    first = min((r[2] for r in results if r[2] is not None), default=None)  # keys are unique
-    if first is not None:  # the witness
-        _, lines, scale, i, value = first
-        first = _minor(wide, lines, next(islice(combinations(range(len(ints[0])), len(lines)), i, None)), scale, value)
+    first = min((r[2] for r in results if r[2] is not None), default=None)  # (order, rows, cols)
+    if first is not None:  # the witness, its value eliminated afresh
+        _, rows, cols = first
+        first = MinorWitness(rows, cols, determinant(mat.submatrix(rows, cols)))
     least = min(_exact(low, scale) for low, scale, _ in results if scale)  # scale 0: took no line
     return TnnReport(first is None, work, least, first)

@@ -292,6 +292,14 @@ class TestMsequenceCommand:
             assert "budget" in res.stderr
             assert "Traceback" not in res.stderr
 
+    def test_oracle_disagreement_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "oracle_is_m_sequence", lambda seq, variables: False)
+        assert cli.main(["msequence", "--seq", "1,2,3", "--oracle"]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "cross-check failure: is_m_sequence says True but the multicomplex oracle says False for 1,2,3\n",
+        )
+
     def test_json_schema(self):
         res = run_cli("msequence", "--seq", "1,2,4", "--format", "json")
         assert json.loads(res.stdout) == {
@@ -306,6 +314,15 @@ class TestLgvCommand:
         res = run_cli("lgv", "--n", "4", "--verify", "--rows", "0,1", "--cols", "1,2")
         assert res.returncode == 0
         assert res.stdout == "det=6, lgv=6, equal\n"
+
+    def test_verify_mismatch_exits_4(self, monkeypatch, capsys):
+        count = cli.minor_via_lgv
+        monkeypatch.setattr(cli, "minor_via_lgv", lambda graph, rows, cols: count(graph, rows, cols) + 1)
+        assert cli.main(["lgv", "--n", "9", "--verify", "--rows", "0", "--cols", "1"]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "cross-check failure: minor mismatch on n=9, rows=[0], cols=[1]: det=9, lgv=10\n",
+        )
 
     def test_verify_requires_indices(self):
         res = run_cli("lgv", "--n", "4", "--verify")

@@ -54,20 +54,19 @@ def plain(x) -> bool:
 
 
 def share_report(rows, max_order, tops):
-    """The walker's raw (least, scale, first) over tops, taken as one block, converted
-    here on its own into (least minor, MinorWitness or None), for comparison with
-    bareiss_scan."""
+    """The walker's raw (least, scale, first) over tops, taken as one block, as (least
+    minor, first), for comparison with bareiss_scan's least and located witness: first
+    is the first negative minor's (order, rows, cols), or None."""
     ints, scales, wide = tnn._clear(as_matrix(rows))
     got = tnn._walker(len(ints[0]), max_order)(ints, scales, [tops], wide)
     assert plain(got), got  # what a forked child sends by marshal
     least, scale, first = got
-    witness = None
-    if first is not None:
-        key, lines, first_scale, i, value = first
-        subset = list(combinations(range(len(ints[0])), len(lines)))[i]
-        assert key == ((len(lines), i, lines) if wide else (len(lines), lines, i))
-        witness = MinorWitness(*((subset, lines) if wide else (lines, subset)), Fraction(value, first_scale))
-    return Fraction(least, scale), witness
+    return Fraction(least, scale), first
+
+
+def located(first):
+    """(order, rows, cols) of an oracle's first negative (rows, cols, value), or None."""
+    return None if first is None else (len(first[0]), first[0], first[1])
 
 
 def random_deal(rng, record):
@@ -512,7 +511,7 @@ class TestAgainstBareissScan:
         assert typed(report) == typed(expected_report(bareiss_scan(rows)))
         assert report == answer
 
-    def test_witness_orientation(self):
+    def test_witness_orientation(self, fork_always):
         # wide, so its columns are walked: its negative entries (0, 1) and (1, 0)
         # come first in (rows, cols) and in (cols, rows) order respectively
         wide = ((0, -1, 1), (-1, 0, 1))
@@ -523,6 +522,21 @@ class TestAgainstBareissScan:
         assert w == MinorWitness((0, 1), (1, 2), -1)
         tall = ((1, 1), (2, 3), (1, 1))
         assert is_totally_nonnegative(tall).witness == MinorWitness(w.cols, w.rows, w.value)
+        # an order-4 witness whose rows are not its cols: the 5x11 Pascal matrix
+        # C(i + j, i) with entry (4, 7) lowered by 1 (4,367 minors), wide, its transpose
+        # and, with row 2 divided by 3, a witness value that is not whole
+        pascal = [[comb(i + j, i) for j in range(11)] for i in range(5)]
+        pascal[4][7] -= 1
+        scaled = [[Fraction(x, 3) for x in row] if i == 2 else row for i, row in enumerate(pascal)]
+        cases = [
+            (pascal, -105, MinorWitness((0, 2, 3, 4), (6, 7, 8, 9), -5)),
+            (list(zip(*pascal)), -105, MinorWitness((6, 7, 8, 9), (0, 2, 3, 4), -5)),
+            (scaled, -35, MinorWitness((0, 2, 3, 4), (6, 7, 8, 9), Fraction(-5, 3))),
+        ]
+        for rows, least, witness in cases:
+            for jobs in (1, 2, 3):
+                report = is_totally_nonnegative(rows, jobs=jobs)
+                assert typed(report) == typed(TnnReport(False, 4367, least, witness)), (rows, jobs)
 
 
 class TestWalker:
@@ -536,9 +550,8 @@ class TestWalker:
                 assert tnn._walker(short, max_order) is walk
                 for tops in (range(lines), range(0, lines - 1, 2)):
                     count, least, first = bareiss_scan(rows, max_order, None if len(tops) == lines else set(tops))
-                    witness = None if first is None else MinorWitness(*first)
-                    assert share_report(rows, max_order, tops) == (least, witness), (rows, max_order, tops)
-                    orders.add(witness and len(witness.rows))
+                    assert share_report(rows, max_order, tops) == (least, located(first)), (rows, max_order, tops)
+                    orders.add(first and len(first[0]))
                     if len(tops) == lines:
                         assert is_totally_nonnegative(rows, max_order).minors_checked == count
         assert orders == {None, 1, 2, 3, 4, 5, 6}
@@ -549,7 +562,7 @@ class TestWalker:
         rows[4][4] -= 2  # the first negative minor in rows 0..4 is of order 4
         count, least, first = bareiss_scan(rows, tops={4})
         assert first == ((0, 1, 3, 4), (3, 4, 5, 6), -19)
-        assert share_report(rows, 12, [4]) == (least, MinorWitness(*first))
+        assert share_report(rows, 12, [4]) == (least, located(first))
         assert is_totally_nonnegative(rows).minors_checked == comb(24, 12) - 1  # sum of C(12, k)^2, k >= 1
 
     def test_built_before_the_first_fork(self, monkeypatch):
