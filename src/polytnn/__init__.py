@@ -6,18 +6,44 @@ g-vectors in exact integer arithmetic, tests candidate sequences with the
 Macaulay boundary operator, and certifies matrices totally nonnegative
 two independent ways: exhaustive minor enumeration and non-intersecting
 lattice-path families.
+
+`import polytnn` loads none of its modules. A module, and each name the
+package re-exports, is imported on first use (PEP 562): `polytnn.tnn`
+imports `polytnn.tnn`, and `polytnn.determinant` finds the module whose
+`__all__` lists it. Each module's `__all__` is the one list of its public
+names; `polytnn.__all__` is their sorted union.
 """
 
-from . import errors, exactnum, lgv, macaulay, polyvec, tnn, transfer
-from .errors import *
-from .exactnum import *
-from .lgv import *
-from .macaulay import *
-from .polyvec import *
-from .tnn import *
-from .transfer import *
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-# each module's __all__ is the one list of its public names
-__all__ = sorted({name for m in (errors, exactnum, lgv, macaulay, polyvec, tnn, transfer) for name in m.__all__})
+# the library modules in dependency order: each imports only modules before it
+_MODULES = ("errors", "exactnum", "transfer", "tnn", "macaulay", "polyvec", "lgv")
+
+
+def _module(short: str):
+    return importlib.import_module(f"{__name__}.{short}")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return _module(name)  # the import binds it in this namespace
+    if name == "__all__":
+        value = sorted({export for short in _MODULES for export in _module(short).__all__})
+    elif name.startswith("_"):  # a probe such as __wrapped__ or __path__ imports nothing
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        # loaded modules first, then the rest in dependency order, importing as it goes
+        loaded = sorted(_MODULES, key=lambda short: f"{__name__}.{short}" not in sys.modules)
+        module = next((m for m in map(_module, loaded) if name in m.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULES, *sys.modules[__name__].__all__})

@@ -19,10 +19,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
+# matrix, tnn and lgv --verify run these, so no op of theirs pays to import
+# them; each other subcommand imports its own module when it runs
 from .errors import CrossCheckError
-from .lgv import export_dot, graph_json_obj, lattice_graph, minor_via_lgv
-from .macaulay import is_m_sequence, oracle_is_m_sequence
-from .polyvec import FVector, GVector, euler_check, f_to_g, g_to_f, is_polytopal
 from .tnn import as_matrix, check_scan, determinant, is_totally_nonnegative
 from .transfer import parse_matrix_csv, parse_matrix_json, path_matrix, transfer_matrix
 
@@ -113,24 +112,32 @@ def cmd_tnn(args) -> int:
 
 
 def cmd_f2g(args) -> int:
+    from .polyvec import FVector, f_to_g
+
     g = f_to_g(FVector(args.d, args.f)).values
     _emit(args, {"d": args.d, "g": list(g)}, ",".join(map(str, g)))
     return 0
 
 
 def cmd_g2f(args) -> int:
+    from .polyvec import GVector, g_to_f
+
     f = g_to_f(GVector(args.d, args.g)).counts
     _emit(args, {"d": args.d, "f": list(f)}, ",".join(map(str, f)))
     return 0
 
 
 def cmd_euler(args) -> int:
+    from .polyvec import FVector, euler_check
+
     ok = euler_check(FVector(args.d, args.f))
     _emit(args, {"d": args.d, "euler": ok}, "true" if ok else "false")
     return 0
 
 
 def cmd_feasible(args) -> int:
+    from .polyvec import FVector, is_polytopal
+
     verdict = is_polytopal(FVector(args.d, args.f))
     text = "pass" if verdict.passed else f"fail, condition={verdict.failed_condition}"
     _emit(args, verdict.to_json_obj(), text)
@@ -138,6 +145,8 @@ def cmd_feasible(args) -> int:
 
 
 def cmd_msequence(args) -> int:
+    from .macaulay import is_m_sequence, oracle_is_m_sequence
+
     verdict = is_m_sequence(args.seq)
     if args.oracle:
         agreed = oracle_is_m_sequence(args.seq, max(1, args.seq[1] if len(args.seq) > 1 else 1))
@@ -158,6 +167,8 @@ def cmd_msequence(args) -> int:
 
 
 def cmd_lgv(args) -> int:
+    from .lgv import export_dot, graph_json_obj, lattice_graph, minor_via_lgv
+
     graph = lattice_graph(args.n)
     if args.verify and (args.rows is None or args.cols is None):
         raise UsageError("--verify requires --rows and --cols")

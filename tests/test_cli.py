@@ -13,10 +13,16 @@ import pytest
 import polytnn
 import polytnn.__main__
 import polytnn.cli as cli
+import polytnn.lgv as lgv
+import polytnn.macaulay as macaulay
 from polytnn import TnnReport
 from oracles import full_parser_main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+# the library modules, and the ones every CLI call loads (matrix and tnn run no others)
+LIBRARY = {"errors", "exactnum", "transfer", "tnn", "macaulay", "polyvec", "lgv"}
+CLI_LOADS = {"cli", "errors", "exactnum", "transfer", "tnn"}
 
 
 def run_cli(*args, **kwargs):
@@ -293,7 +299,7 @@ class TestMsequenceCommand:
             assert "Traceback" not in res.stderr
 
     def test_oracle_disagreement_exits_4(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "oracle_is_m_sequence", lambda seq, variables: False)
+        monkeypatch.setattr(macaulay, "oracle_is_m_sequence", lambda seq, variables: False)
         assert cli.main(["msequence", "--seq", "1,2,3", "--oracle"]) == 4
         assert capsys.readouterr() == (
             "",
@@ -316,8 +322,8 @@ class TestLgvCommand:
         assert res.stdout == "det=6, lgv=6, equal\n"
 
     def test_verify_mismatch_exits_4(self, monkeypatch, capsys):
-        count = cli.minor_via_lgv
-        monkeypatch.setattr(cli, "minor_via_lgv", lambda graph, rows, cols: count(graph, rows, cols) + 1)
+        count = lgv.minor_via_lgv
+        monkeypatch.setattr(lgv, "minor_via_lgv", lambda graph, rows, cols: count(graph, rows, cols) + 1)
         assert cli.main(["lgv", "--n", "9", "--verify", "--rows", "0", "--cols", "1"]) == 4
         assert capsys.readouterr() == (
             "",
@@ -604,6 +610,30 @@ class TestGlobalBehavior:
         loaded = set(res.stdout.split())
         assert "polytnn.cli" in loaded
         assert not loaded & {"dataclasses", "inspect", "pickle", "signal"}
+
+    @pytest.mark.parametrize(
+        "code, loads",
+        [
+            ("import polytnn; assert not hasattr(polytnn, '__wrapped__')", set()),
+            ("import polytnn, polytnn.cli", CLI_LOADS),
+            ("import polytnn.cli; assert polytnn.cli.main(['tnn', '--d', '5']) == 0", CLI_LOADS),
+            ("import polytnn.cli; assert polytnn.cli.main(['matrix', '--d', '3']) == 0", CLI_LOADS),
+            ("import polytnn.cli; assert polytnn.cli.main(['msequence', '--seq', '1,2,1']) == 0", CLI_LOADS | {"macaulay"}),
+            ("import polytnn.cli; assert polytnn.cli.main(['lgv', '--n', '5']) == 0", CLI_LOADS | {"lgv"}),
+            (
+                "import polytnn.cli; assert polytnn.cli.main(['feasible', '--f', '4,6,4', '--d', '3']) == 0",
+                CLI_LOADS | {"polyvec", "macaulay"},
+            ),
+            ("import polytnn; assert set(polytnn.__all__) <= set(dir(polytnn))", LIBRARY),
+        ],
+        ids=["probe", "import", "tnn", "matrix", "msequence", "lgv", "feasible", "dir"],
+    )
+    def test_each_call_loads_only_the_modules_it_runs(self, code, loads):
+        # a fresh interpreter, so no other test's imports count
+        script = f"import sys\n{code}\nprint(*(m for m in sys.modules if m.startswith('polytnn.')), file=sys.stderr)"
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert set(res.stderr.split()) == {f"polytnn.{short}" for short in loads}
 
     def test_determinism_across_runs(self):
         a = run_cli("lgv", "--n", "7", "--format", "json").stdout
