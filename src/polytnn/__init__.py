@@ -9,9 +9,11 @@ lattice-path families.
 
 `import polytnn` loads none of its modules. A module, and each name the
 package re-exports, is imported on first use (PEP 562): `polytnn.tnn`
-imports `polytnn.tnn`, and `polytnn.determinant` finds the module whose
-`__all__` lists it. Each module's `__all__` is the one list of its public
-names; `polytnn.__all__` is their sorted union.
+imports `polytnn.tnn`, and `polytnn.determinant` searches the modules'
+`__all__` in dependency order, so it imports its own module and every
+module before it. Each module's `__all__` is the one list of its public
+names; `polytnn.__all__` is their sorted union, and a name missing from it
+raises `AttributeError` after one search of every module.
 """
 
 import importlib
@@ -27,21 +29,28 @@ def _module(short: str):
     return importlib.import_module(f"{__name__}.{short}")
 
 
+def _exports() -> list:
+    """Compute and keep `__all__`, the sorted union of the modules' `__all__`."""
+    value = globals()["__all__"] = sorted({export for short in _MODULES for export in _module(short).__all__})
+    return value
+
+
 def __getattr__(name: str):
     if name in _MODULES:
         return _module(name)  # the import binds it in this namespace
     if name == "__all__":
-        value = sorted({export for short in _MODULES for export in _module(short).__all__})
-    elif name.startswith("_"):  # a probe such as __wrapped__ or __path__ imports nothing
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    else:
-        # loaded modules first, then the rest in dependency order, importing as it goes
-        loaded = sorted(_MODULES, key=lambda short: f"{__name__}.{short}" not in sys.modules)
-        module = next((m for m in map(_module, loaded) if name in m.__all__), None)
-        if module is None:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        value = getattr(module, name)
-    globals()[name] = value
+        return _exports()
+    missing = f"module {__name__!r} has no attribute {name!r}"
+    # a probe such as __wrapped__ or __path__ imports nothing, and once
+    # __all__ is kept a name it does not list searches nothing
+    if name.startswith("_") or "__all__" in globals() and name not in globals()["__all__"]:
+        raise AttributeError(missing)
+    # in dependency order, importing as it goes: a name loads its module and every module before it
+    module = next((m for m in map(_module, _MODULES) if name in m.__all__), None)
+    if module is None:
+        _exports()  # every module is loaded now, so keeping __all__ imports nothing more
+        raise AttributeError(missing)
+    value = globals()[name] = getattr(module, name)
     return value
 
 

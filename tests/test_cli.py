@@ -625,8 +625,11 @@ class TestGlobalBehavior:
                 CLI_LOADS | {"polyvec", "macaulay"},
             ),
             ("import polytnn; assert set(polytnn.__all__) <= set(dir(polytnn))", LIBRARY),
+            # a miss searches every module once; after that it imports and searches nothing
+            ("import polytnn; assert not hasattr(polytnn, 'cli'); polytnn._module = None; assert not hasattr(polytnn, 'x')", LIBRARY),
+            ("import polytnn; assert polytnn.is_m_sequence([1, 2, 1])", {"errors", "exactnum", "transfer", "tnn", "macaulay"}),
         ],
-        ids=["probe", "import", "tnn", "matrix", "msequence", "lgv", "feasible", "dir"],
+        ids=["probe", "import", "tnn", "matrix", "msequence", "lgv", "feasible", "dir", "miss", "name"],
     )
     def test_each_call_loads_only_the_modules_it_runs(self, code, loads):
         # a fresh interpreter, so no other test's imports count
