@@ -37,6 +37,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError, CrossCheckError
 from .exactnum import binomial
+# unused here, but the lgv-certify benchmark reads lgv.path_weight_closed_form
 from .transfer import path_weight_closed_form
 
 __all__ = [

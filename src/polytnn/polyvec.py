@@ -1,26 +1,27 @@
 """f-, h-, and g-vector transforms for simplicial d-polytopes.
 
 A simplicial d-polytope with f_i faces of dimension i (with the implied
-conventions f_{-1} = f_d = 1, never stored) determines
+conventions f_{-1} = f_d = 1, never stored) determines h and g by
 
-    h_i = sum_{j=0}^{i} (-1)^(i+j) C(d-j, i-j) f_{j-1}      for i = 0..d
-    g_0 = h_0,  g_k = h_k - h_{k-1}                         for k = 1..floor(d/2)
+    sum_i h_i x^(d-i) = sum_i f_{i-1} (x-1)^(d-i),   g_0 = h_0,  g_k = h_k - h_{k-1}
 
-and the half-vector g determines f back through the transfer matrix:
-f = g . M with M = transfer_matrix(d), or (f_{-1}, f_0, ..., f_{d-1}) =
-g . W with W = path_matrix(d+1) in the augmented form. A candidate
-f-vector belongs to a simplicial d-polytope exactly when its g-vector is
-an M-sequence and reproduces f; is_polytopal checks that, reporting the
-first failed condition with a witness.
+and g determines f back: h_k = g_0 + ... + g_k = h_{d-k} for k <= floor(d/2),
+and sum_i f_{i-1} y^(d-i) = sum_i h_i (y+1)^(d-i). Each side is one Horner
+pass, O(d^2) additions. The McMullen product f = g . transfer_matrix(d) stays
+the definition, kept with the binomial sum for h in tests/oracles.py. A
+candidate f-vector belongs to a simplicial d-polytope exactly when its
+g-vector is an M-sequence and reproduces f; is_polytopal checks that,
+reporting the first failed condition with a witness.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
+# binomial is unused here, but bench/tracing.py counts polyvec's calls by patching it by name
 from .exactnum import _check_ints, binomial
 from .macaulay import MSequenceVerdict, is_m_sequence
-from .transfer import path_matrix
 
 __all__ = [
     "FVector",
@@ -83,18 +84,19 @@ class GVector(NamedTuple("GVector", [("d", int), ("values", tuple)])):
         return super().__new__(cls, d, values)
 
 
+def _horner(values, s: int) -> list:
+    """Coefficients of sum_i values[i] * (x + s)^(n-1-i), highest power first:
+    each step multiplies by (x + s), one addition per coefficient, by Horner's rule."""
+    c = []
+    for v in values:
+        c = [a + s * b for a, b in zip(c + [0], [0] + c)]
+        c[-1] += v
+    return c
+
+
 def f_to_h(f: FVector) -> HVector:
-    """Apply the alternating binomial transform; h_0 comes out as 1."""
-    d = f.d
-
-    def face_count(j: int) -> int:
-        return 1 if j == 0 else f.counts[j - 1]
-
-    values = tuple(
-        sum((-1) ** (i + j) * binomial(d - j, i - j) * face_count(j) for j in range(i + 1))
-        for i in range(d + 1)
-    )
-    return HVector(d, values)
+    """Shift (f_{-1}, f_0, ..., f_{d-1}) by x - 1; h_0 comes out as 1."""
+    return HVector(f.d, tuple(_horner((1,) + f.counts, -1)))
 
 
 def h_to_g(h: HVector) -> GVector:
@@ -110,18 +112,15 @@ def f_to_g(f: FVector) -> GVector:
 
 
 def g_to_f(g: GVector, augmented: bool = False):
-    """Multiply g by the transfer matrix to recover face counts.
+    """Recover face counts from g: rebuild the symmetric h, shift it by y + 1.
 
-    Plain form returns the FVector (f_0, ..., f_{d-1}) = g . M. The
-    augmented form multiplies by the path matrix of order d+1 instead and
-    returns the raw tuple (f_{-1}, f_0, ..., f_{d-1}), whose first entry
-    equals g_0; the transfer matrix is the path matrix without column 0,
-    so the plain form is the augmented one without that entry.
+    Plain form returns the FVector (f_0, ..., f_{d-1}) = g . transfer_matrix(d).
+    The augmented form returns the raw tuple (f_{-1}, f_0, ..., f_{d-1}) = g . W,
+    W the path matrix of order d+1, whose first entry is g_0; the plain form is
+    the augmented one without that entry.
     """
-    w = path_matrix(g.d + 1)
-    raw = tuple(
-        sum(x * row[j] for x, row in zip(g.values, w.entries)) for j in range(g.d + 1)
-    )
+    half = list(accumulate(g.values))
+    raw = tuple(_horner([half[min(i, g.d - i)] for i in range(g.d + 1)], 1))
     return raw if augmented else FVector(g.d, raw[1:])
 
 

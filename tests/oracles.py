@@ -7,10 +7,11 @@ instead of building minors from smaller ones, Fraction arc weights
 multiplied along the lattice instead of counting paths, every pairing of
 sources to sinks tried instead of an anti-diagonal sweep, a linear search
 for each binomial expansion term instead of bisection, subset counting
-instead of transform algebra, the whole command-line parser for every call
-instead of only the named subcommand's. Agreement between these and the
-library is the point of most tests, so none of this may import shortcuts
-from the package.
+instead of transform algebra, the alternating binomial sum for h and the
+McMullen product g . W for f instead of Horner passes, the whole
+command-line parser for every call instead of only the named subcommand's.
+Agreement between these and the library is the point of most tests, so none
+of this may import shortcuts from the package.
 """
 
 import sys
@@ -151,6 +152,28 @@ def greedy_expansion(value: int, k: int) -> tuple:
         rem -= comb(a, t)
         t -= 1
     return tuple(terms)
+
+
+def binomial_sum_h(d: int, counts) -> tuple:
+    """h_i = sum_j (-1)^(i+j) C(d-j, i-j) f_{j-1} for i = 0..d, term by term,
+    from the face counts (f_0, ..., f_{d-1}) and the implied f_{-1} = 1."""
+    faces = (1,) + tuple(counts)
+    return tuple(
+        sum((-1) ** (i + j) * comb(d - j, i - j) * faces[j] for j in range(i + 1))
+        for i in range(d + 1)
+    )
+
+
+def mcmullen_product(d: int, g) -> tuple:
+    """(f_{-1}, f_0, ..., f_{d-1}) = g . W, the half-vector g times the path
+    matrix W of order n = d + 1, entry by entry: W[i][j] = C(n-i, n-j) - C(i, n-j)
+    for i <= j and 0 below the diagonal. Column 0 is (1, 0, ..., 0), so the
+    first entry is g_0."""
+    n = d + 1
+    return tuple(
+        sum(x * (comb(n - i, n - j) - comb(i, n - j)) for i, x in enumerate(g) if i <= j)
+        for j in range(n)
+    )
 
 
 def face_counts(facets) -> tuple:

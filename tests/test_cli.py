@@ -628,8 +628,10 @@ class TestGlobalBehavior:
             # a miss searches every module once; after that it imports and searches nothing
             ("import polytnn; assert not hasattr(polytnn, 'cli'); polytnn._module = None; assert not hasattr(polytnn, 'x')", LIBRARY),
             ("import polytnn; assert polytnn.is_m_sequence([1, 2, 1])", {"errors", "exactnum", "transfer", "tnn", "macaulay"}),
+            # the face-vector transforms build no matrix
+            ("import polytnn.polyvec", {"errors", "exactnum", "macaulay", "polyvec"}),
         ],
-        ids=["probe", "import", "tnn", "matrix", "msequence", "lgv", "feasible", "dir", "miss", "name"],
+        ids=["probe", "import", "tnn", "matrix", "msequence", "lgv", "feasible", "dir", "miss", "name", "polyvec"],
     )
     def test_each_call_loads_only_the_modules_it_runs(self, code, loads):
         # a fresh interpreter, so no other test's imports count

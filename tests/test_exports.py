@@ -37,3 +37,13 @@ def test_readme_module_table_follows_each_modules_list():
         mine = {name for name, owner in owners.items() if owner == short}
         assert mine <= listed, (short, sorted(mine - listed))
         assert not {name for name in listed & owners.keys() if owners[name] != short}, short
+
+
+def test_names_read_from_outside_stay_bound():
+    # bench/tracing.py counts polyvec's binomial calls by patching polyvec.binomial, and the
+    # lgv-certify workload reads lgv.path_weight_closed_form; neither module calls its name,
+    # so only this test stops a tidy-up from deleting the import and failing every pass
+    from polytnn import exactnum, lgv, polyvec, transfer
+
+    assert polyvec.binomial is exactnum.binomial
+    assert lgv.path_weight_closed_form is transfer.path_weight_closed_form

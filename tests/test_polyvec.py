@@ -1,7 +1,9 @@
+import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polytnn import (
     FVector,
@@ -15,7 +17,7 @@ from polytnn import (
     is_m_sequence,
     is_polytopal,
 )
-from oracles import face_counts
+from oracles import binomial_sum_h, face_counts, mcmullen_product
 
 # boundary complexes of three small 3-polytopes, given by their facets;
 # the face counts below are derived by subset counting, not by transforms
@@ -122,6 +124,51 @@ class TestTransforms:
         # h_0 = 1 for every f, so the leading g entry can never differ
         for counts in ((4, 6, 4), (9, 9, 9), (3, 3, 2), (100, 300, 17)):
             assert f_to_g(FVector(3, counts)).values[0] == 1
+
+
+def assert_matches_definitions(d, counts, g):
+    """f_to_h against the binomial sum; g_to_f, plain and augmented, against g . W.
+
+    Where the product has a face count below 1, g_to_f must refuse it with
+    the same ValueError that FVector raises for the product's counts."""
+    assert f_to_h(FVector(d, counts)).values == binomial_sum_h(d, counts)
+    raw = mcmullen_product(d, g)
+    assert g_to_f(GVector(d, g), augmented=True) == raw
+    try:
+        want = FVector(d, raw[1:])
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            g_to_f(GVector(d, g))
+        assert str(got.value) == str(exc)
+    else:
+        assert g_to_f(GVector(d, g)) == want
+
+
+class TestHornerAgainstDefinitions:
+    def test_every_dimension_up_to_60(self):
+        r = random.Random(26)
+        for d in range(1, 61):
+            half = d // 2 + 1
+            simplex = tuple(comb(d + 1, j + 1) for j in range(d))
+            assert_matches_definitions(d, simplex, (1,) + (0,) * (half - 1))
+            counts = tuple(r.randint(1, 10**6) for _ in range(d))
+            assert_matches_definitions(d, counts, tuple(r.randint(-(10**6), 10**6) for _ in range(half)))
+            assert_matches_definitions(d, counts, tuple(r.randint(0, 10**6) for _ in range(half)))
+
+    def test_face_count_below_one_is_refused_like_the_product(self):
+        # g . W at d = 3 is (1, 4 + g_1, 6 + 3 g_1, 4 + 2 g_1): f_0 = 0 for g_1 = -4
+        assert mcmullen_product(3, (1, -4)) == (1, 0, -6, -4)
+        with pytest.raises(ValueError, match="FVector: face counts must be integers >= 1, got 0"):
+            g_to_f(GVector(3, (1, -4)))
+        assert_matches_definitions(3, (4, 6, 4), (1, -4))
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_random_vectors(self, d, data):
+        # face counts must be >= 1 to make an FVector; g entries may have either sign
+        counts = data.draw(st.lists(st.integers(1, 10**6), min_size=d, max_size=d))
+        g = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=d // 2 + 1, max_size=d // 2 + 1))
+        assert_matches_definitions(d, tuple(counts), tuple(g))
 
 
 class TestEulerCheck:
