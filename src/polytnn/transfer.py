@@ -4,7 +4,8 @@ The path matrix of order n has ceil(n/2) rows, n columns and entries
 path_weight_closed_form(n, i, j), zero below the diagonal; its column 0
 is always (1, 0, ..., 0) and dropping that column leaves exactly the
 transfer matrix for d = n-1, with floor(d/2)+1 rows, d columns and
-entries C(d+1-i, d-j) - C(i, d-j), which is how transfer_matrix builds it.
+entries C(d+1-i, d-j) - C(i, d-j). transfer_matrix builds it that way, as
+path_matrix(d + 1) without column 0.
 Both forms are exposed because both are useful: the path matrix carries
 the augmented leading column for the implied face count f_{-1} = 1, the
 transfer matrix matches the entry formula indexed by dimension.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .exactnum import _check_ints, binomial
@@ -107,7 +107,6 @@ def path_weight_closed_form(n: int, i: int, j: int) -> int:
     return binomial(n - i, n - j) - binomial(i, n - j)
 
 
-@lru_cache
 def path_matrix(n: int) -> PathMatrix:
     """Build the path matrix of order n >= 2 from its entry formula."""
     if n < 2:
@@ -119,7 +118,6 @@ def path_matrix(n: int) -> PathMatrix:
     return PathMatrix(n, entries)
 
 
-@lru_cache
 def transfer_matrix(d: int) -> TransferMatrix:
     """The transfer matrix for dimension d >= 1: path matrix d+1 minus column 0."""
     if d < 1:

@@ -330,6 +330,32 @@ class TestLgvCommand:
             "cross-check failure: minor mismatch on n=9, rows=[0], cols=[1]: det=9, lgv=10\n",
         )
 
+    def test_verify_eliminates_the_minors_own_entries(self, monkeypatch, capsys):
+        # the elimination side takes the minor's entries from the closed form, so a wrong entry exits 4
+        entry = cli.path_weight_closed_form
+        monkeypatch.setattr(cli, "path_weight_closed_form", lambda n, i, j: entry(n, i, j) + ((i, j) == (0, 1)))
+        assert cli.main(["lgv", "--n", "9", "--verify", "--rows", "0", "--cols", "1"]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "cross-check failure: minor mismatch on n=9, rows=[0], cols=[1]: det=10, lgv=9\n",
+        )
+
+    def test_verify_refuses_before_it_eliminates(self, monkeypatch, capsys):
+        calls = []
+
+        def entry(n, i, j):
+            calls.append((n, i, j))
+            raise AssertionError("the elimination side ran before the refusal")
+
+        monkeypatch.setattr(cli, "path_weight_closed_form", entry)
+        for n, cols, message in (
+            ("9", "9", "sink index out of range: j = 9, valid 0..8"),
+            ("11", "1", "family enumeration budget is order <= 3 and n <= 10; got order 1, n 11"),
+        ):
+            assert cli.main(["lgv", "--n", n, "--verify", "--rows", "0", "--cols", cols]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert calls == []
+
     def test_verify_requires_indices(self):
         res = run_cli("lgv", "--n", "4", "--verify")
         assert res.returncode == 2

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -51,9 +52,19 @@ class TestTransferMatrix:
                 for value in row:
                     assert value >= 0
 
-    def test_built_once(self):
-        assert transfer_matrix(7) is transfer_matrix(7)
-        assert path_matrix(8) is path_matrix(8)
+    def test_keeps_no_matrix_after_the_call(self):
+        # each call builds its matrix afresh, and nothing holds it once the caller drops it
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for d in range(1, 120):
+                transfer_matrix(d)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20
+        assert transfer_matrix(7) == transfer_matrix(7)
+        assert path_matrix(8) == path_matrix(8)
 
     def test_nonpositive_d_rejected(self):
         with pytest.raises(ValueError):
