@@ -25,8 +25,7 @@ def binomial(n: int, k: int) -> int:
     The matrix entry formulas in this package rely on out-of-range
     binomials vanishing silently, so only a negative n is an error.
     """
-    if n < 0:
-        raise ValueError(f"binomial: n must be nonnegative, got {n}")
+    _check_ints((n,), "binomial: n must be nonnegative", least=0)
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -52,8 +51,7 @@ def ballot_paths(m: int, n: int, t: int) -> int:
     the C(m+n, n-t) unrestricted paths from (-t, t), giving
     C(m+n, n) - C(m+n, n-t).
     """
-    if t <= 0:
-        raise ValueError(f"ballot_paths: t must be positive, got {t}")
+    _check_ints((t,), "ballot_paths: t must be positive", least=1)
     if m < 0 or n < 0:
         raise ValueError("ballot_paths: endpoint must lie in the first quadrant")
     if n - m >= t:

@@ -36,7 +36,7 @@ from math import prod
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError, CrossCheckError
-from .exactnum import binomial
+from .exactnum import _check_ints, binomial
 # unused here, but the lgv-certify benchmark reads lgv.path_weight_closed_form
 from .transfer import path_weight_closed_form
 
@@ -129,8 +129,7 @@ class LatticeGraph(NamedTuple("LatticeGraph", [("n", int)])):
 
 def lattice_graph(n: int) -> LatticeGraph:
     """The weighted lattice graph of order n >= 2, with nothing built yet."""
-    if n < 2:
-        raise ValueError(f"lattice_graph: n must be >= 2, got {n}")
+    _check_ints((n,), "lattice_graph: n must be >= 2", least=2)
     return LatticeGraph(n)
 
 

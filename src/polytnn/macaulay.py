@@ -58,10 +58,8 @@ def macaulay_expand(value: int, k: int) -> MacaulayExpansion:
     value = 0 is rejected here; boundary() handles it directly as the
     empty expansion.
     """
-    if k < 1:
-        raise ValueError(f"macaulay_expand: k must be >= 1, got {k}")
-    if value < 1:
-        raise ValueError(f"macaulay_expand: value must be >= 1, got {value}")
+    _check_ints((k,), "macaulay_expand: k must be >= 1", least=1)
+    _check_ints((value,), "macaulay_expand: value must be >= 1", least=1)
     terms = []
     rem = value
     t = k
@@ -83,10 +81,8 @@ def macaulay_expand(value: int, k: int) -> MacaulayExpansion:
 
 def boundary(value: int, k: int) -> int:
     """The k-boundary: each C(a, t) of the expansion becomes C(a-1, t-1)."""
-    if k < 1:
-        raise ValueError(f"boundary: k must be >= 1, got {k}")
-    if value < 0:
-        raise ValueError(f"boundary: value must be >= 0, got {value}")
+    _check_ints((k,), "boundary: k must be >= 1", least=1)
+    _check_ints((value,), "boundary: value must be >= 0", least=0)
     if value == 0:
         return 0
     return sum(binomial(a - 1, t - 1) for a, t in macaulay_expand(value, k).terms)
@@ -170,8 +166,7 @@ def oracle_is_m_sequence(seq: Sequence[int], max_vars: int) -> bool:
     if not seq:
         raise ValueError("oracle_is_m_sequence: sequence must be nonempty")
     _check_ints(seq, "oracle_is_m_sequence: entries must be nonnegative integers", least=0)
-    if max_vars < 0:
-        raise ValueError(f"oracle_is_m_sequence: max_vars must be >= 0, got {max_vars}")
+    _check_ints((max_vars,), "oracle_is_m_sequence: max_vars must be >= 0", least=0)
     # a multicomplex is nonempty and division-closed, so it contains the
     # unit monomial and its degree-0 count is exactly 1
     if seq[0] != 1:

@@ -43,8 +43,7 @@ class FVector(NamedTuple("FVector", [("d", int), ("counts", tuple)])):
     __slots__ = ()
 
     def __new__(cls, d: int, counts: tuple[int, ...]):
-        if d < 1:
-            raise ValueError(f"FVector: d must be >= 1, got {d}")
+        _check_ints((d,), "FVector: d must be >= 1", least=1)
         counts = tuple(counts)
         if len(counts) != d:
             raise ValueError(f"FVector: need exactly d = {d} entries (f_0..f_{d - 1}), got {len(counts)}")
@@ -58,8 +57,7 @@ class HVector(NamedTuple("HVector", [("d", int), ("values", tuple)])):
     __slots__ = ()
 
     def __new__(cls, d: int, values: tuple[int, ...]):
-        if d < 1:
-            raise ValueError(f"HVector: d must be >= 1, got {d}")
+        _check_ints((d,), "HVector: d must be >= 1", least=1)
         values = tuple(values)
         if len(values) != d + 1:
             raise ValueError(f"HVector: need exactly d + 1 = {d + 1} entries, got {len(values)}")
@@ -73,8 +71,7 @@ class GVector(NamedTuple("GVector", [("d", int), ("values", tuple)])):
     __slots__ = ()
 
     def __new__(cls, d: int, values: tuple[int, ...]):
-        if d < 1:
-            raise ValueError(f"GVector: d must be >= 1, got {d}")
+        _check_ints((d,), "GVector: d must be >= 1", least=1)
         values = tuple(values)
         if len(values) != d // 2 + 1:
             raise ValueError(

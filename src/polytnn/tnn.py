@@ -324,8 +324,7 @@ def check_scan(rows: int, cols: int, max_order: Optional[int] = None, jobs: int 
         max_order = limit
     if max_order < 1 or max_order > limit:
         raise ValueError(f"max_order must be in 1..{limit}, got {max_order}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_ints((jobs,), "jobs must be >= 1", least=1)
     work = sum(comb(rows, k) * comb(cols, k) for k in range(1, max_order + 1))
     if work > SCAN_BUDGET:
         raise BudgetExceededError(f"the scan has {work} minors, over the budget of {SCAN_BUDGET}")

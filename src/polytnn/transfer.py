@@ -50,8 +50,7 @@ class TransferMatrix(NamedTuple("TransferMatrix", [("d", int), ("entries", tuple
     __slots__ = ()
 
     def __new__(cls, d: int, entries: tuple[tuple[int, ...], ...]):
-        if d < 1:
-            raise ValueError(f"TransferMatrix: d must be >= 1, got {d}")
+        _check_ints((d,), "TransferMatrix: d must be >= 1", least=1)
         entries = tuple(tuple(r) for r in entries)
         _check_grid(entries, d // 2 + 1, d, "TransferMatrix")
         return super().__new__(cls, d, entries)
@@ -78,8 +77,7 @@ class PathMatrix(NamedTuple("PathMatrix", [("n", int), ("entries", tuple)])):
     __slots__ = ()
 
     def __new__(cls, n: int, entries: tuple[tuple[int, ...], ...]):
-        if n < 2:
-            raise ValueError(f"PathMatrix: n must be >= 2, got {n}")
+        _check_ints((n,), "PathMatrix: n must be >= 2", least=2)
         entries = tuple(tuple(r) for r in entries)
         _check_grid(entries, (n + 1) // 2, n, "PathMatrix")
         return super().__new__(cls, n, entries)
@@ -109,8 +107,7 @@ def path_weight_closed_form(n: int, i: int, j: int) -> int:
 
 def path_matrix(n: int) -> PathMatrix:
     """Build the path matrix of order n >= 2 from its entry formula."""
-    if n < 2:
-        raise ValueError(f"path_matrix: n must be >= 2, got {n}")
+    _check_ints((n,), "path_matrix: n must be >= 2", least=2)
     entries = tuple(
         tuple(path_weight_closed_form(n, i, j) for j in range(n))
         for i in range((n + 1) // 2)
@@ -120,8 +117,7 @@ def path_matrix(n: int) -> PathMatrix:
 
 def transfer_matrix(d: int) -> TransferMatrix:
     """The transfer matrix for dimension d >= 1: path matrix d+1 minus column 0."""
-    if d < 1:
-        raise ValueError(f"transfer_matrix: d must be >= 1, got {d}")
+    _check_ints((d,), "transfer_matrix: d must be >= 1", least=1)
     return strip_leading_column(path_matrix(d + 1))
 
 
@@ -170,7 +166,10 @@ def parse_matrix_json(text: str) -> tuple[tuple, ...]:
 
     Cells are integers, or strings read as CSV cells are (so "p/q" works).
     """
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("parse_matrix_json: nesting too deep") from None
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ValueError('parse_matrix_json: expected an object with a "rows" field')
     rows = obj["rows"]

@@ -9,8 +9,10 @@ nonzero. Before any mutant, the same test files must pass on an unchanged copy.
     python3 tests/mutants.py
 
 prints one line per mutant, then killed/total, and exits 1 if a mutant survives
-or no longer applies. The file has no test_ prefix, so a plain pytest run does
-not collect it; the whole catalogue takes a few minutes.
+or no longer applies. A pytest run that takes more than 300 s is stopped: a
+mutant that hangs counts as killed, and an unchanged copy that hangs fails the
+run. The file has no test_ prefix, so a plain pytest run does not collect it;
+the whole catalogue takes a few minutes.
 """
 
 from __future__ import annotations
@@ -38,11 +40,19 @@ BUILD = "Build each matrix per call"
 LAZY = "Load each subcommand's modules on first use"
 WITNESS = "tnn: a worker records its first negative minor as (order, rows, cols)"
 HORNER = "Face-vector transforms by Horner's rule"
+ARGS = "One integer rule for arguments too"
+SKIP = "tnn: skip every line set that holds a linearly dependent one"
+PARSE = "cli: parse each call with only its subcommand's parser"
+FORK = "tnn --jobs: fork one child per share and scan one share in the caller"
+PIPE = "tnn --jobs: workers take the top lines off one pipe as they free up"
 
 CLI = ("tests/test_cli.py",)
 SCAN = ("tests/test_tnn.py", "tests/test_cli.py")
 FACES = ("tests/test_polyvec.py", "tests/test_exports.py", "tests/test_cli.py")
 VERIFY_ROW = "path_weight_closed_form(args.n, i, j) for j in args.cols]"
+RECORDS = ("tests/test_records.py",)
+NESTED = ("tests/test_transfer.py", "tests/test_cli.py")
+WORKERS = "min(jobs, len(ints), os.cpu_count() or 1)"
 
 MUTANTS = (
     # a process keeps every transfer matrix it built
@@ -96,13 +106,53 @@ MUTANTS = (
         FACES,
         HORNER,
     ),
+    # an integer argument checked by hand again, so a bool or a float gets through
+    Mutant(
+        "polyvec.py",
+        '_check_ints((d,), "FVector: d must be >= 1", least=1)',
+        'if d < 1: raise ValueError(f"FVector: d must be >= 1, got {d}")',
+        RECORDS,
+        ARGS,
+    ),
+    Mutant(
+        "lgv.py",
+        '_check_ints((n,), "lattice_graph: n must be >= 2", least=2)',
+        'if n < 2: raise ValueError(f"lattice_graph: n must be >= 2, got {n}")',
+        RECORDS,
+        ARGS,
+    ),
+    Mutant(
+        "tnn.py",
+        '_check_ints((jobs,), "jobs must be >= 1", least=1)',
+        'if jobs < 1: raise ValueError(f"jobs must be >= 1, got {jobs}")',
+        RECORDS,
+        ARGS,
+    ),
+    # deeply nested JSON escapes as a RecursionError traceback
+    Mutant("transfer.py", "except RecursionError", "except ZeroDivisionError", NESTED, ARGS),
+    # the walker keeps walking past a zero table, or skips one that still has a nonzero entry
+    Mutant("tnn.py", "if low == 0 and not any(t):", "if False:", SCAN, SKIP),
+    Mutant("tnn.py", "if low == 0 and not any(t):", "if low == 0:", SCAN, SKIP),
+    # leftover arguments accepted by the subcommand's parser instead of the full parser's usage error
+    Mutant("cli.py", "        if not rest:\n", "        if True:\n", CLI, PARSE),
+    # workers not capped by lines, or by CPUs, or jobs ignored
+    Mutant("tnn.py", WORKERS, "min(jobs, os.cpu_count() or 1)", SCAN, FORK),
+    Mutant("tnn.py", WORKERS, "min(jobs, len(ints))", SCAN, FORK),
+    Mutant("tnn.py", WORKERS, "1", SCAN, FORK),
+    # the fold reads the least value of a worker that took no line
+    Mutant("tnn.py", "for low, scale, _ in results if scale)", "for low, scale, _ in results)", SCAN, PIPE),
 )
 
 
-def _pytest(src: Path, tests) -> int:
+def _pytest(src: Path, tests) -> int | None:
+    """pytest's exit code, or None when the run took more than 300 s and was killed."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    try:
+        run = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=300)
+    except subprocess.TimeoutExpired:
+        return None
+    return run.returncode
 
 
 def _copy(tmp: str) -> Path:
@@ -126,8 +176,9 @@ def main() -> int:
                 verdict = f"STALE (old text occurs {text.count(m.old)} times)"
             else:
                 path.write_text(text.replace(m.old, m.new), encoding="utf-8")
-                verdict = "killed" if _pytest(path.parents[1], m.tests) != 0 else "SURVIVED"
-            killed += verdict == "killed"
+                code = _pytest(path.parents[1], m.tests)
+                verdict = "killed (timeout)" if code is None else "killed" if code else "SURVIVED"
+            killed += verdict.startswith("killed")
             print(f"{n:2} {verdict}: {m.file}: {m.old.strip()!r} -> {m.new.strip()!r} [{m.found}]", flush=True)
     print(f"{killed}/{len(MUTANTS)} killed")
     return 0 if killed == len(MUTANTS) else 1

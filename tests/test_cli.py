@@ -128,6 +128,12 @@ class TestTnnCommand:
             assert from_json.returncode == from_csv.returncode == 3
             assert from_json.stdout == from_csv.stdout
 
+    def test_deeply_nested_json_is_an_error(self, tmp_path, capsys):
+        f = tmp_path / "deep.json"
+        f.write_text('{"rows": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        assert cli.main(["tnn", "--file", str(f)]) == 1
+        assert capsys.readouterr() == ("", "error: parse_matrix_json: nesting too deep\n")
+
     def test_missing_file(self):
         res = run_cli("tnn", "--file", "/nonexistent/matrix.csv")
         assert res.returncode == 1

@@ -16,11 +16,16 @@ from polytnn import (
     PathMatrix,
     TnnReport,
     TransferMatrix,
+    ballot_paths,
+    binomial,
+    boundary,
     is_m_sequence,
     is_polytopal,
+    is_totally_nonnegative,
     lattice_graph,
     macaulay_expand,
     nonintersecting_families,
+    oracle_is_m_sequence,
     path_matrix,
     transfer_matrix,
 )
@@ -113,6 +118,23 @@ def test_verdicts_and_reports_are_truthy_iff_they_pass():
         (lambda: HVector(3, (1, 1, 1)), r"HVector: need exactly d \+ 1 = 4 entries, got 3"),
         (lambda: GVector(0, ()), "GVector: d must be >= 1, got 0"),
         (lambda: GVector(3, (1,)), r"GVector: need exactly floor\(d/2\) \+ 1 = 2 entries for d = 3, got 1"),
+        # the integer arguments go through the same rule: no bool, no float
+        (lambda: binomial(5.0, 2), "binomial: n must be nonnegative, got 5.0"),
+        (lambda: ballot_paths(2, 1, True), "ballot_paths: t must be positive, got True"),
+        (lambda: lattice_graph(2.5), "lattice_graph: n must be >= 2, got 2.5"),
+        (lambda: macaulay_expand(5, True), "macaulay_expand: k must be >= 1, got True"),
+        (lambda: macaulay_expand(2.0, 1), "macaulay_expand: value must be >= 1, got 2.0"),
+        (lambda: boundary(5, 2.0), "boundary: k must be >= 1, got 2.0"),
+        (lambda: boundary(True, 1), "boundary: value must be >= 0, got True"),
+        (lambda: oracle_is_m_sequence([1, 2], 2.5), "oracle_is_m_sequence: max_vars must be >= 0, got 2.5"),
+        (lambda: FVector(True, (1,)), "FVector: d must be >= 1, got True"),
+        (lambda: HVector(2.0, (1, 1, 1)), "HVector: d must be >= 1, got 2.0"),
+        (lambda: GVector(True, (1,)), "GVector: d must be >= 1, got True"),
+        (lambda: TransferMatrix(True, ((2,),)), "TransferMatrix: d must be >= 1, got True"),
+        (lambda: PathMatrix(2.0, ((1, 2),)), "PathMatrix: n must be >= 2, got 2.0"),
+        (lambda: path_matrix(3.0), "path_matrix: n must be >= 2, got 3.0"),
+        (lambda: transfer_matrix(2.0), "transfer_matrix: d must be >= 1, got 2.0"),
+        (lambda: is_totally_nonnegative(((1, 2), (3, 4)), jobs=True), "jobs must be >= 1, got True"),
     ],
 )
 def test_validation_errors(make, error):

@@ -175,6 +175,9 @@ class TestSerialization:
         for rows in ([], 3):
             with pytest.raises(ValueError, match='^parse_matrix_json: "rows" must be a nonempty list$'):
                 parse_matrix_json(json.dumps({"rows": rows}))
+        # json.loads recurses once per bracket; past the interpreter's limit that is a ValueError
+        with pytest.raises(ValueError, match="^parse_matrix_json: nesting too deep$"):
+            parse_matrix_json('{"rows": ' + "[" * 200_000 + "]" * 200_000 + "}")
 
 
 class TestValidation:
