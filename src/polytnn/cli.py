@@ -99,15 +99,24 @@ def cmd_tnn(args) -> int:
     else:
         mat = _load_matrix_file(args.file)
     report = is_totally_nonnegative(mat, max_order=args.max_order, jobs=args.jobs)
-    lines = [
-        f"is_tnn: {'true' if report.is_tnn else 'false'}",
-        f"minors_checked: {report.minors_checked}",
-        f"min_minor: {report.min_minor}",
-    ]
-    if report.witness is not None:
-        w = report.witness
-        lines.append(f"witness: rows={_index_set(w.rows)} cols={_index_set(w.cols)} value={w.value}")
-    _emit(args, report.to_json_obj(), "\n".join(lines))
+    # the report prints every digit: the interpreter's cap on int-to-str digits (4,300 by
+    # default since 3.10.7) still refuses a longer input entry, which was parsed above
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits:
+        sys.set_int_max_str_digits(0)
+    try:
+        lines = [
+            f"is_tnn: {'true' if report.is_tnn else 'false'}",
+            f"minors_checked: {report.minors_checked}",
+            f"min_minor: {report.min_minor}",
+        ]
+        if report.witness is not None:
+            w = report.witness
+            lines.append(f"witness: rows={_index_set(w.rows)} cols={_index_set(w.cols)} value={w.value}")
+        _emit(args, report.to_json_obj(), "\n".join(lines))
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
     return 0 if report.is_tnn else 3
 
 

@@ -31,13 +31,12 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _check_ints(values, message: str, least: int | None = None, types=int) -> None:
-    """Refuse the first entry that is not of types, is a bool, or is below least.
-
-    The ValueError reads f"{message}, got {v!r}" for that entry v.
-    """
+def _check_ints(values, message: str, least: int | None = None, most: int | None = None, types=int) -> None:
+    """Raise ValueError(f"{message}, got {v!r}") for the first entry v that is not of
+    types, is a bool, or lies outside least..most (a bound of None is no bound)."""
     for v in values:
-        if not isinstance(v, types) or isinstance(v, bool) or (least is not None and v < least):
+        wrong = not isinstance(v, types) or isinstance(v, bool) or (least is not None and v < least)
+        if wrong or (most is not None and v > most):
             raise ValueError(f"{message}, got {v!r}")
 
 
@@ -52,8 +51,7 @@ def ballot_paths(m: int, n: int, t: int) -> int:
     C(m+n, n) - C(m+n, n-t).
     """
     _check_ints((t,), "ballot_paths: t must be positive", least=1)
-    if m < 0 or n < 0:
-        raise ValueError("ballot_paths: endpoint must lie in the first quadrant")
+    _check_ints((m, n), "ballot_paths: endpoint must lie in the first quadrant", least=0)
     if n - m >= t:
         return 0
     return binomial(m + n, n) - binomial(m + n, n - t)

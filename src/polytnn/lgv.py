@@ -134,6 +134,7 @@ def lattice_graph(n: int) -> LatticeGraph:
 
 
 def _check_indices(n: int, i: int, j: int) -> None:
+    _check_ints((i, j), "source and sink indices must be integers")
     corner = (n + 1) // 2 - 1
     if not 0 <= i <= corner:
         raise ValueError(f"source index out of range: i = {i}, valid 0..{corner}")

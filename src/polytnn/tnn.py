@@ -235,8 +235,8 @@ def _first_negative(first, lines: tuple, table: list, subsets: list, wide: bool)
 def iter_minors(m, order: int):
     """Yield MinorWitness for every order-by-order minor, lexicographically."""
     mat = as_matrix(m)
-    if order < 1 or order > min(mat.rows, mat.cols):
-        raise ValueError(f"minor order must be in 1..{min(mat.rows, mat.cols)}, got {order}")
+    limit = min(mat.rows, mat.cols)
+    _check_ints((order,), f"minor order must be in 1..{limit}", least=1, most=limit)
     ints, scales, wide = _clear(mat)
     for rows in combinations(range(mat.rows), order):
         for cols in combinations(range(mat.cols), order):
@@ -322,8 +322,7 @@ def check_scan(rows: int, cols: int, max_order: Optional[int] = None, jobs: int 
     limit = min(rows, cols)
     if max_order is None:
         max_order = limit
-    if max_order < 1 or max_order > limit:
-        raise ValueError(f"max_order must be in 1..{limit}, got {max_order}")
+    _check_ints((max_order,), f"max_order must be in 1..{limit}", least=1, most=limit)
     _check_ints((jobs,), "jobs must be >= 1", least=1)
     work = sum(comb(rows, k) * comb(cols, k) for k in range(1, max_order + 1))
     if work > SCAN_BUDGET:

@@ -45,14 +45,36 @@ SKIP = "tnn: skip every line set that holds a linearly dependent one"
 PARSE = "cli: parse each call with only its subcommand's parser"
 FORK = "tnn --jobs: fork one child per share and scan one share in the caller"
 PIPE = "tnn --jobs: workers take the top lines off one pipe as they free up"
+BLOCKS = "tnn: one scan route through the dealing pipe, in contiguous blocks"
+SWEEP = "lgv: one lattice-path kernel; the sweep moves one head at a time"
+ORACLE = "msequence --oracle: one work budget, counted as the search runs"
+RANGE = "One integer rule, finished"
 
 CLI = ("tests/test_cli.py",)
 SCAN = ("tests/test_tnn.py", "tests/test_cli.py")
 FACES = ("tests/test_polyvec.py", "tests/test_exports.py", "tests/test_cli.py")
 VERIFY_ROW = "path_weight_closed_form(args.n, i, j) for j in args.cols]"
 RECORDS = ("tests/test_records.py",)
+LGV = ("tests/test_lgv.py",)
 NESTED = ("tests/test_transfer.py", "tests/test_cli.py")
 WORKERS = "min(jobs, len(ints), os.cpu_count() or 1)"
+BLOCK = "range(top, max(top - size, -1), -1)"
+MOVE = "if reach <= x < prev and _inside(n, x, s - x):"
+COMMAND_PARSER = 'argparse.ArgumentParser(prog=f"polytnn {name}")'
+COUNT = """        tested += binomial(v + k - 1, k)
+        if tested > ORACLE_WORK_CAP:
+            raise BudgetExceededError(
+                f"oracle infeasible: reaching degree {k} takes the search past "
+                f"its budget of {ORACLE_WORK_CAP} monomial tests"
+            )
+"""
+LISTING = """        prev = frozenset(chosen)
+        avail = [m for m, divisors in _monomials(v, k) if prev.issuperset(divisors)]
+"""
+MAX_ORDER = '_check_ints((max_order,), f"max_order must be in 1..{limit}", least=1, most=limit)'
+DIGITS = """    if digits:
+        sys.set_int_max_str_digits(0)
+"""
 
 MUTANTS = (
     # a process keeps every transfer matrix it built
@@ -141,6 +163,43 @@ MUTANTS = (
     Mutant("tnn.py", WORKERS, "1", SCAN, FORK),
     # the fold reads the least value of a worker that took no line
     Mutant("tnn.py", "for low, scale, _ in results if scale)", "for low, scale, _ in results)", SCAN, PIPE),
+    # the old exact-value rule: an int only when the scale is 1, so a whole value over a scale is a Fraction
+    Mutant(
+        "tnn.py",
+        "Fraction(value, scale) if value % scale else value // scale",
+        "value if scale == 1 else Fraction(value, scale)",
+        SCAN,
+        PIPE,
+    ),
+    # the dealing pipe: its last block's byte not written, ceil(lines/255) lines a block,
+    # the last block not clipped at line 0, and every block cut to its first line
+    Mutant("tnn.py", "bytes(range(len(blocks)))", "bytes(range(len(blocks) - 1))", SCAN, BLOCKS),
+    Mutant("tnn.py", "size = -(-lines // 256)", "size = -(-lines // 255)", SCAN, BLOCKS),
+    Mutant("tnn.py", BLOCK, "range(top, top - size, -1)", SCAN, BLOCKS),
+    Mutant("tnn.py", BLOCK, "range(top, top - 1, -1)", SCAN, BLOCKS),
+    # the sweep without its reach bound, with heads that may meet, and without the out-of-order raise
+    Mutant("lgv.py", MOVE, "if x < prev and _inside(n, x, s - x):", LGV, SWEEP),
+    Mutant("lgv.py", MOVE, "if reach <= x <= prev and _inside(n, x, s - x):", LGV, SWEEP),
+    Mutant("lgv.py", "if x > prev:", "if False:", LGV, SWEEP),
+    # a subcommand's parser alone with another prog, or refusing abbreviated options
+    Mutant("cli.py", COMMAND_PARSER, 'argparse.ArgumentParser(prog=f"polytnn-{name}")', CLI, PARSE),
+    Mutant("cli.py", COMMAND_PARSER, 'argparse.ArgumentParser(prog=f"polytnn {name}", allow_abbrev=False)', CLI, PARSE),
+    # the oracle counts a degree's monomials only after it has listed them
+    Mutant("macaulay.py", COUNT + LISTING, LISTING + COUNT, ("tests/test_macaulay.py", "tests/test_cli.py"), ORACLE),
+    # an upper bound ignored, check_scan's hand-written range check back (True reads as 1),
+    # and lgv indices taken without the integer rule
+    Mutant("exactnum.py", "if wrong or (most is not None and v > most):", "if wrong:", RECORDS, RANGE),
+    Mutant(
+        "tnn.py",
+        MAX_ORDER,
+        'if max_order < 1 or max_order > limit: raise ValueError(f"max_order must be in 1..{limit}, got {max_order}")',
+        RECORDS,
+        RANGE,
+    ),
+    Mutant("lgv.py", '    _check_ints((i, j), "source and sink indices must be integers")\n', "", RECORDS, RANGE),
+    # the tnn report under the interpreter's digit limit, or the limit left lifted after it
+    Mutant("cli.py", DIGITS, "", CLI, RANGE),
+    Mutant("cli.py", "            sys.set_int_max_str_digits(digits)\n", "            pass\n", CLI, RANGE),
 )
 
 

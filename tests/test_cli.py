@@ -134,6 +134,30 @@ class TestTnnCommand:
         assert cli.main(["tnn", "--file", str(f)]) == 1
         assert capsys.readouterr() == ("", "error: parse_matrix_json: nesting too deep\n")
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_report_prints_values_past_the_digit_limit(self, tmp_path, capsys):
+        # the determinant 1 - 10**5000 has 5,000 digits, past the interpreter's default
+        # limit of 4,300; an input entry past the limit is still refused
+        limit = sys.get_int_max_str_digits()
+        big = tmp_path / "big.csv"
+        big.write_text(f"1,1{'0' * 2500}\n1{'0' * 2500},1\n")
+        nines = "9" * 5000
+        assert cli.main(["tnn", "--file", str(big)]) == 3
+        assert capsys.readouterr() == (
+            f"is_tnn: false\nminors_checked: 5\nmin_minor: -{nines}\n"
+            f"witness: rows={{0,1}} cols={{0,1}} value=-{nines}\n",
+            "",
+        )
+        assert cli.main(["tnn", "--file", str(big), "--format", "json"]) == 3
+        assert capsys.readouterr().out.endswith(f'"value": -{nines}}}}}\n')
+        assert sys.get_int_max_str_digits() == limit
+        long = tmp_path / "long.csv"
+        long.write_text(f"1,{'1' * (limit + 1)}\n1,1\n")
+        assert cli.main(["tnn", "--file", str(long)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: Exceeds the limit ({limit} digits) for integer string conversion")
+
     def test_missing_file(self):
         res = run_cli("tnn", "--file", "/nonexistent/matrix.csv")
         assert res.returncode == 1

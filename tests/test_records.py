@@ -22,11 +22,14 @@ from polytnn import (
     is_m_sequence,
     is_polytopal,
     is_totally_nonnegative,
+    iter_minors,
     lattice_graph,
     macaulay_expand,
+    minor_via_lgv,
     nonintersecting_families,
     oracle_is_m_sequence,
     path_matrix,
+    path_weight_sum,
     transfer_matrix,
 )
 
@@ -135,6 +138,15 @@ def test_verdicts_and_reports_are_truthy_iff_they_pass():
         (lambda: path_matrix(3.0), "path_matrix: n must be >= 2, got 3.0"),
         (lambda: transfer_matrix(2.0), "transfer_matrix: d must be >= 1, got 2.0"),
         (lambda: is_totally_nonnegative(((1, 2), (3, 4)), jobs=True), "jobs must be >= 1, got True"),
+        # and so do the arguments with an upper bound: True is not order 1 or index 1
+        (lambda: is_totally_nonnegative(((1, 2), (3, 4)), max_order=True), r"max_order must be in 1\.\.2, got True"),
+        (lambda: is_totally_nonnegative(((1, 2), (3, 4)), max_order=2.0), r"max_order must be in 1\.\.2, got 2\.0"),
+        (lambda: next(iter_minors(((1, 2), (3, 4)), True)), r"minor order must be in 1\.\.2, got True"),
+        (lambda: next(iter_minors(((1, 2), (3, 4)), 3)), r"minor order must be in 1\.\.2, got 3"),
+        (lambda: path_weight_sum(lattice_graph(6), True, 1), "source and sink indices must be integers, got True"),
+        (lambda: minor_via_lgv(lattice_graph(6), [True], [2]), "source and sink indices must be integers, got True"),
+        (lambda: ballot_paths(True, 2, 1), "ballot_paths: endpoint must lie in the first quadrant, got True"),
+        (lambda: ballot_paths(-1, 2, 1), "ballot_paths: endpoint must lie in the first quadrant, got -1"),
     ],
 )
 def test_validation_errors(make, error):
