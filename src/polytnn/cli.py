@@ -80,12 +80,14 @@ def _emit(args, obj, text: str) -> None:
     print(json.dumps(obj, sort_keys=True) if args.format == "json" else text)
 
 
-def _load_matrix_file(path: str):
+def _load_matrix_file(path: str, digits: int):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith(".json"):
-        return parse_matrix_json(text)
-    return parse_matrix_csv(text)
+    sys.set_int_max_str_digits(digits)
+    try:
+        return parse_matrix_json(text) if path.endswith(".json") else parse_matrix_csv(text)
+    finally:
+        sys.set_int_max_str_digits(0)
 
 
 def cmd_tnn(args) -> int:
@@ -97,26 +99,17 @@ def cmd_tnn(args) -> int:
     elif args.n is not None:
         mat = path_matrix(args.n)
     else:
-        mat = _load_matrix_file(args.file)
+        mat = _load_matrix_file(args.file, args.digits)
     report = is_totally_nonnegative(mat, max_order=args.max_order, jobs=args.jobs)
-    # the report prints every digit: the interpreter's cap on int-to-str digits (4,300 by
-    # default since 3.10.7) still refuses a longer input entry, which was parsed above
-    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if digits:
-        sys.set_int_max_str_digits(0)
-    try:
-        lines = [
-            f"is_tnn: {'true' if report.is_tnn else 'false'}",
-            f"minors_checked: {report.minors_checked}",
-            f"min_minor: {report.min_minor}",
-        ]
-        if report.witness is not None:
-            w = report.witness
-            lines.append(f"witness: rows={_index_set(w.rows)} cols={_index_set(w.cols)} value={w.value}")
-        _emit(args, report.to_json_obj(), "\n".join(lines))
-    finally:
-        if digits:
-            sys.set_int_max_str_digits(digits)
+    lines = [
+        f"is_tnn: {'true' if report.is_tnn else 'false'}",
+        f"minors_checked: {report.minors_checked}",
+        f"min_minor: {report.min_minor}",
+    ]
+    if report.witness is not None:
+        w = report.witness
+        lines.append(f"witness: rows={_index_set(w.rows)} cols={_index_set(w.cols)} value={w.value}")
+    _emit(args, report.to_json_obj(), "\n".join(lines))
     return 0 if report.is_tnn else 3
 
 
@@ -320,6 +313,10 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
+    # input (argv, and tnn --file in _load_matrix_file) is parsed under the caller's cap on
+    # int-to-str digits, which bounds its parse time; every number written prints in full
+    args.digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -331,6 +328,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(args.digits)
 
 
 def run() -> None:

@@ -324,6 +324,10 @@ def check_scan(rows: int, cols: int, max_order: Optional[int] = None, jobs: int 
         max_order = limit
     _check_ints((max_order,), f"max_order must be in 1..{limit}", least=1, most=limit)
     _check_ints((jobs,), "jobs must be >= 1", least=1)
+    if rows * cols > SCAN_BUDGET:  # order 1 alone is over: refuse before summing min(rows, cols) orders
+        raise BudgetExceededError(
+            f"the scan has {rows} x {cols} minors of order 1 alone, over the budget of {SCAN_BUDGET}"
+        )
     work = sum(comb(rows, k) * comb(cols, k) for k in range(1, max_order + 1))
     if work > SCAN_BUDGET:
         raise BudgetExceededError(f"the scan has {work} minors, over the budget of {SCAN_BUDGET}")

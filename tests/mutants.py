@@ -49,6 +49,7 @@ BLOCKS = "tnn: one scan route through the dealing pipe, in contiguous blocks"
 SWEEP = "lgv: one lattice-path kernel; the sweep moves one head at a time"
 ORACLE = "msequence --oracle: one work budget, counted as the search runs"
 RANGE = "One integer rule, finished"
+DIGITS = "One digit rule at the CLI boundary"
 
 CLI = ("tests/test_cli.py",)
 SCAN = ("tests/test_tnn.py", "tests/test_cli.py")
@@ -72,9 +73,11 @@ LISTING = """        prev = frozenset(chosen)
         avail = [m for m, divisors in _monomials(v, k) if prev.issuperset(divisors)]
 """
 MAX_ORDER = '_check_ints((max_order,), f"max_order must be in 1..{limit}", least=1, most=limit)'
-DIGITS = """    if digits:
-        sys.set_int_max_str_digits(0)
+LIFT = """    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
 """
+CUT = "    if rows * cols > SCAN_BUDGET:"
 
 MUTANTS = (
     # a process keeps every transfer matrix it built
@@ -197,9 +200,14 @@ MUTANTS = (
         RANGE,
     ),
     Mutant("lgv.py", '    _check_ints((i, j), "source and sink indices must be integers")\n', "", RECORDS, RANGE),
-    # the tnn report under the interpreter's digit limit, or the limit left lifted after it
-    Mutant("cli.py", DIGITS, "", CLI, RANGE),
-    Mutant("cli.py", "            sys.set_int_max_str_digits(digits)\n", "            pass\n", CLI, RANGE),
+    # every command's output under the interpreter's digit limit, the limit left lifted after
+    # main, and tnn --file parsed without the caller's limit
+    Mutant("cli.py", LIFT, LIFT.replace("    sys.set_int_max_str_digits(0)\n", ""), CLI, DIGITS),
+    Mutant("cli.py", "        sys.set_int_max_str_digits(args.digits)\n", "        pass\n", CLI, DIGITS),
+    Mutant("cli.py", "    sys.set_int_max_str_digits(digits)\n", "", CLI, DIGITS),
+    # check_scan sums every order of an oversized shape, or cuts one at exactly the budget
+    Mutant("tnn.py", CUT, "    if False:", SCAN, DIGITS),
+    Mutant("tnn.py", CUT, CUT.replace(">", ">="), SCAN, DIGITS),
 )
 
 

@@ -15,8 +15,8 @@ import polytnn.__main__
 import polytnn.cli as cli
 import polytnn.lgv as lgv
 import polytnn.macaulay as macaulay
-from polytnn import TnnReport
-from oracles import full_parser_main
+from polytnn import BudgetExceededError, TnnReport
+from oracles import binomial_sum_h, full_parser_main, mcmullen_product
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -134,10 +134,10 @@ class TestTnnCommand:
         assert cli.main(["tnn", "--file", str(f)]) == 1
         assert capsys.readouterr() == ("", "error: parse_matrix_json: nesting too deep\n")
 
-    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
     def test_report_prints_values_past_the_digit_limit(self, tmp_path, capsys):
         # the determinant 1 - 10**5000 has 5,000 digits, past the interpreter's default
-        # limit of 4,300; an input entry past the limit is still refused
+        # limit of 4,300; an input entry past the limit is still refused, unless the
+        # caller's own limit is 0
         limit = sys.get_int_max_str_digits()
         big = tmp_path / "big.csv"
         big.write_text(f"1,1{'0' * 2500}\n1{'0' * 2500},1\n")
@@ -157,6 +157,14 @@ class TestTnnCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: Exceeds the limit ({limit} digits) for integer string conversion")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert cli.main(["tnn", "--file", str(long)]) == 3  # its determinant is 1 - 11...1
+            assert sys.get_int_max_str_digits() == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().out.startswith("is_tnn: false\nminors_checked: 5\n")
 
     def test_missing_file(self):
         res = run_cli("tnn", "--file", "/nonexistent/matrix.csv")
@@ -194,6 +202,21 @@ class TestTnnCommand:
             assert res.returncode == 1
             assert res.stdout == ""
             assert res.stderr == f"error: the scan has {comb(rows + 2000, rows) - 1} minors, over the budget of 10000000\n"
+
+    def test_shape_past_the_budget_in_order_1_is_refused_at_once(self):
+        # rows * cols > SCAN_BUDGET: order 1 alone is over it, so check_scan refuses before
+        # its sum, which took 6.8 s to count the minors of M_10000; the message gives rows
+        # and cols, whose product a library caller could not print past the digit limit
+        res = run_cli("tnn", "--d", "20000", timeout=5)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "error: the scan has 10001 x 20000 minors of order 1 alone, over the budget of 10000000\n"
+        # rows * cols exactly at the budget is summed, and keeps its exact count
+        with pytest.raises(BudgetExceededError) as exact:
+            cli.check_scan(2, 5_000_000)
+        assert str(exact.value) == f"the scan has {10**7 + comb(5_000_000, 2)} minors, over the budget of 10000000"
+        with pytest.raises(BudgetExceededError) as cut:
+            cli.check_scan(2237, 4472)  # the shape of M_4472
+        assert str(cut.value) == "the scan has 2237 x 4472 minors of order 1 alone, over the budget of 10000000"
 
     def test_refusal_uses_the_built_shape(self, monkeypatch, capsys):
         checked, built = [], []
@@ -234,6 +257,93 @@ class TestTnnCommand:
         obj = json.loads(res.stdout)
         assert set(obj) == {"is_tnn", "minors_checked", "min_minor", "witness"}
         assert obj["is_tnn"] is True
+
+
+def _uncapped(render):
+    """render() with the interpreter's int-to-str digit limit lifted, as the CLI writes."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return render()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _g_by_binomial_sum(d: int, counts) -> list:
+    h = binomial_sum_h(d, counts)
+    return [h[0]] + [h[i] - h[i - 1] for i in range(1, d // 2 + 1)]
+
+
+NINES = [int("9" * 4300)] * 20  # 20 entries at the default limit of 4,300 digits: argv takes them
+LONG_G = [1] + NINES[:10]
+HUGE = 10**2200  # 2,201 digits; its graph's vertex count and its tnn minor count have about 4,400
+
+
+class TestDigitLimitOnOutput:
+    """argv is parsed under the caller's digit limit, and each subcommand writes every
+    number in full, to stdout and in its error messages."""
+
+    @pytest.mark.parametrize(
+        "argv, code, view, expected",
+        [
+            pytest.param(
+                ["f2g", "--d", "20", "--f", ",".join(map(str, NINES))],
+                0,
+                str,
+                lambda: (",".join(map(str, _g_by_binomial_sum(20, NINES))) + "\n", ""),
+                id="f2g",
+            ),
+            pytest.param(
+                ["g2f", "--d", "20", "--g", ",".join(map(str, LONG_G))],
+                0,
+                str,
+                lambda: (",".join(map(str, mcmullen_product(20, LONG_G)[1:])) + "\n", ""),
+                id="g2f",
+            ),
+            pytest.param(
+                ["feasible", "--d", "20", "--f", ",".join(map(str, NINES)), "--format", "json"],
+                0,
+                lambda out: json.loads(out)["g"],
+                lambda: (_g_by_binomial_sum(20, NINES), ""),
+                id="feasible-json",
+            ),
+            pytest.param(
+                ["lgv", "--n", str(HUGE)],
+                1,
+                str,
+                lambda: (
+                    "",
+                    f"error: the lattice graph of order {HUGE} has {(HUGE // 2) * (HUGE // 2 + 1)} "
+                    "vertices, over the budget of 25000\n",
+                ),
+                id="lgv-budget",
+            ),
+            pytest.param(
+                ["tnn", "--n", str(HUGE), "--max-order", "1"],
+                1,
+                str,
+                lambda: (
+                    "",
+                    f"error: the scan has {HUGE // 2} x {HUGE} minors of order 1 alone, over the budget of 10000000\n",
+                ),
+                id="tnn-budget",
+            ),
+        ],
+    )
+    def test_numbers_past_the_limit_print_in_full(self, argv, code, view, expected, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert cli.main(argv) == code
+        assert sys.get_int_max_str_digits() == limit
+        out, err = capsys.readouterr()
+        assert (_uncapped(lambda: view(out)), err) == _uncapped(expected)
+
+    def test_argv_past_the_limit_is_refused(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["f2g", "--d", "1", "--f", "1" * (limit + 1)])
+        assert exc.value.code == 2
+        assert sys.get_int_max_str_digits() == limit
+        assert "expected comma-separated integers" in capsys.readouterr().err
 
 
 class TestVectorCommands:
