@@ -12,8 +12,6 @@ part of the contract:
     4  internal cross-check failure (two independent routes disagreed)
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

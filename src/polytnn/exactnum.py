@@ -4,13 +4,14 @@ Python ints are arbitrary precision already, and fractions.Fraction keeps
 rationals normalized (lowest terms, positive denominator, equality by
 value), so this module only adds the binomial convention, the ballot
 path counts and the integer-entry check that the rest of the package
-leans on.
+leans on, and the one rule for writing a number into a message (_render).
 """
 
-from __future__ import annotations
-
+import sys
 from fractions import Fraction
 from math import comb
+
+from .errors import BudgetExceededError
 
 __all__ = ["Rational", "binomial", "ballot_paths"]
 
@@ -31,13 +32,31 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def _render(x) -> str:
+    """repr(x), except that an int the interpreter's int-to-str cap refuses reads as its
+    digit count, <4401 digits> (-<4401 digits> below 0), so no message trips the cap."""
+    cap, m = sys.get_int_max_str_digits(), abs(x) if isinstance(x, int) else 0
+    if not cap or m < 10**cap:
+        return repr(x)
+    n = m.bit_length() * 3010299 // 10**7  # at most m's digit count: log10(2) > 0.3010299
+    while m >= 10**n:
+        n += 1
+    return f"{'-' * (x < 0)}<{n} digits>"
+
+
+def _refuse(template: str, *numbers) -> BudgetExceededError:
+    """The budget refusal template.format(*numbers), each number through _render."""
+    return BudgetExceededError(template.format(*map(_render, numbers)))
+
+
 def _check_ints(values, message: str, least: int | None = None, most: int | None = None, types=int) -> None:
-    """Raise ValueError(f"{message}, got {v!r}") for the first entry v that is not of
-    types, is a bool, or lies outside least..most (a bound of None is no bound)."""
+    """Raise ValueError(f"{message}, got {v}") for the first entry v that is not of types, is
+    a bool, or lies outside least..most (a bound of None is no bound). Only then are v and
+    the {least} and {most} of message filled in, through _render."""
     for v in values:
         wrong = not isinstance(v, types) or isinstance(v, bool) or (least is not None and v < least)
         if wrong or (most is not None and v > most):
-            raise ValueError(f"{message}, got {v!r}")
+            raise ValueError(f"{message.format(least=_render(least), most=_render(most))}, got {_render(v)}")
 
 
 def ballot_paths(m: int, n: int, t: int) -> int:

@@ -28,15 +28,13 @@ A LatticeGraph is just its order: its vertices and Fraction arcs are built
 on first read, for output only, and GRAPH_BUDGET refuses that build.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from fractions import Fraction
 from math import prod
 from typing import NamedTuple, Sequence
 
-from .errors import BudgetExceededError, CrossCheckError
-from .exactnum import _check_ints, binomial
+from .errors import CrossCheckError
+from .exactnum import _check_ints, _refuse, _render, binomial
 # unused here, but the lgv-certify benchmark reads lgv.path_weight_closed_form
 from .transfer import path_weight_closed_form
 
@@ -109,10 +107,8 @@ class LatticeGraph(NamedTuple("LatticeGraph", [("n", int)])):
         """Built on first read; past GRAPH_BUDGET, BudgetExceededError."""
         n, c = self.n, self.corner
         if _vertex_count(n) > GRAPH_BUDGET:
-            raise BudgetExceededError(
-                f"the lattice graph of order {n} has {_vertex_count(n)} vertices, "
-                f"over the budget of {GRAPH_BUDGET}"
-            )
+            text = "the lattice graph of order {} has {} vertices, over the budget of {}"
+            raise _refuse(text, n, _vertex_count(n), GRAPH_BUDGET)
         return frozenset((x, y) for x in range(c + 1) for y in range(c - x, x + n // 2 + 1))
 
     @cached_property
@@ -137,9 +133,9 @@ def _check_indices(n: int, i: int, j: int) -> None:
     _check_ints((i, j), "source and sink indices must be integers")
     corner = (n + 1) // 2 - 1
     if not 0 <= i <= corner:
-        raise ValueError(f"source index out of range: i = {i}, valid 0..{corner}")
+        raise ValueError(f"source index out of range: i = {_render(i)}, valid 0..{_render(corner)}")
     if not 0 <= j <= n - 1:
-        raise ValueError(f"sink index out of range: j = {j}, valid 0..{n - 1}")
+        raise ValueError(f"sink index out of range: j = {_render(j)}, valid 0..{_render(n - 1)}")
 
 
 def _family_weight(n: int, rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int]:
@@ -188,10 +184,8 @@ def check_minor(n: int, rows: Sequence[int], cols: Sequence[int]) -> None:
     for j in cols:
         _check_indices(n, 0, j)
     if len(rows) > FAMILY_MAX_ORDER or n > FAMILY_MAX_N:
-        raise BudgetExceededError(
-            f"family enumeration budget is order <= {FAMILY_MAX_ORDER} and n <= {FAMILY_MAX_N}; "
-            f"got order {len(rows)}, n {n}"
-        )
+        text = "family enumeration budget is order <= {} and n <= {}; got order {}, n {}"
+        raise _refuse(text, FAMILY_MAX_ORDER, FAMILY_MAX_N, len(rows), n)
 
 
 def nonintersecting_families(

@@ -15,14 +15,11 @@ oracle_is_m_sequence checks that characterization directly by exhaustive
 search and exists to keep the fast arithmetic test honest.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceededError
-from .exactnum import _check_ints, binomial
+from .exactnum import _check_ints, _refuse, binomial
 
 __all__ = [
     "MacaulayExpansion",
@@ -193,10 +190,8 @@ def oracle_is_m_sequence(seq: Sequence[int], max_vars: int) -> bool:
             return True
         tested += binomial(v + k - 1, k)
         if tested > ORACLE_WORK_CAP:
-            raise BudgetExceededError(
-                f"oracle infeasible: reaching degree {k} takes the search past "
-                f"its budget of {ORACLE_WORK_CAP} monomial tests"
-            )
+            text = "oracle infeasible: reaching degree {} takes the search past its budget of {} monomial tests"
+            raise _refuse(text, k, ORACLE_WORK_CAP)
         prev = frozenset(chosen)
         avail = [m for m, divisors in _monomials(v, k) if prev.issuperset(divisors)]
         stack.append(combinations(avail, seq[k]))

@@ -14,13 +14,11 @@ g-vector is an M-sequence and reproduces f; is_polytopal checks that,
 reporting the first failed condition with a witness.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
 # binomial is unused here, but bench/tracing.py counts polyvec's calls by patching it by name
-from .exactnum import _check_ints, binomial
+from .exactnum import _check_ints, _render, binomial
 from .macaulay import MSequenceVerdict, is_m_sequence
 
 __all__ = [
@@ -46,7 +44,8 @@ class FVector(NamedTuple("FVector", [("d", int), ("counts", tuple)])):
         _check_ints((d,), "FVector: d must be >= 1", least=1)
         counts = tuple(counts)
         if len(counts) != d:
-            raise ValueError(f"FVector: need exactly d = {d} entries (f_0..f_{d - 1}), got {len(counts)}")
+            need = f"d = {_render(d)} entries (f_0..f_{_render(d - 1)})"
+            raise ValueError(f"FVector: need exactly {need}, got {len(counts)}")
         _check_ints(counts, "FVector: face counts must be integers >= 1", least=1)
         return super().__new__(cls, d, counts)
 
@@ -60,7 +59,7 @@ class HVector(NamedTuple("HVector", [("d", int), ("values", tuple)])):
         _check_ints((d,), "HVector: d must be >= 1", least=1)
         values = tuple(values)
         if len(values) != d + 1:
-            raise ValueError(f"HVector: need exactly d + 1 = {d + 1} entries, got {len(values)}")
+            raise ValueError(f"HVector: need exactly d + 1 = {_render(d + 1)} entries, got {len(values)}")
         _check_ints(values, "HVector: entries must be integers")
         return super().__new__(cls, d, values)
 
@@ -74,9 +73,8 @@ class GVector(NamedTuple("GVector", [("d", int), ("values", tuple)])):
         _check_ints((d,), "GVector: d must be >= 1", least=1)
         values = tuple(values)
         if len(values) != d // 2 + 1:
-            raise ValueError(
-                f"GVector: need exactly floor(d/2) + 1 = {d // 2 + 1} entries for d = {d}, got {len(values)}"
-            )
+            need = f"floor(d/2) + 1 = {_render(d // 2 + 1)} entries for d = {_render(d)}"
+            raise ValueError(f"GVector: need exactly {need}, got {len(values)}")
         _check_ints(values, "GVector: entries must be integers")
         return super().__new__(cls, d, values)
 

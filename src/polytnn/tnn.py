@@ -18,8 +18,6 @@ walk records the 0 and does not descend below S. iter_minors eliminates each
 minor on its own (Bareiss).
 """
 
-from __future__ import annotations
-
 import marshal
 import os
 import sys
@@ -29,8 +27,7 @@ from itertools import combinations
 from math import comb, lcm, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import BudgetExceededError
-from .exactnum import _check_ints
+from .exactnum import _check_ints, _refuse
 
 Scalar = Union[int, Fraction]
 SCAN_BUDGET = 10**7  # most minors one scan checks; --d 17 has 3,124,549
@@ -236,7 +233,7 @@ def iter_minors(m, order: int):
     """Yield MinorWitness for every order-by-order minor, lexicographically."""
     mat = as_matrix(m)
     limit = min(mat.rows, mat.cols)
-    _check_ints((order,), f"minor order must be in 1..{limit}", least=1, most=limit)
+    _check_ints((order,), "minor order must be in 1..{most}", least=1, most=limit)
     ints, scales, wide = _clear(mat)
     for rows in combinations(range(mat.rows), order):
         for cols in combinations(range(mat.cols), order):
@@ -322,15 +319,13 @@ def check_scan(rows: int, cols: int, max_order: Optional[int] = None, jobs: int 
     limit = min(rows, cols)
     if max_order is None:
         max_order = limit
-    _check_ints((max_order,), f"max_order must be in 1..{limit}", least=1, most=limit)
+    _check_ints((max_order,), "max_order must be in 1..{most}", least=1, most=limit)
     _check_ints((jobs,), "jobs must be >= 1", least=1)
     if rows * cols > SCAN_BUDGET:  # order 1 alone is over: refuse before summing min(rows, cols) orders
-        raise BudgetExceededError(
-            f"the scan has {rows} x {cols} minors of order 1 alone, over the budget of {SCAN_BUDGET}"
-        )
+        raise _refuse("the scan has {} x {} minors of order 1 alone, over the budget of {}", rows, cols, SCAN_BUDGET)
     work = sum(comb(rows, k) * comb(cols, k) for k in range(1, max_order + 1))
     if work > SCAN_BUDGET:
-        raise BudgetExceededError(f"the scan has {work} minors, over the budget of {SCAN_BUDGET}")
+        raise _refuse("the scan has {} minors, over the budget of {}", work, SCAN_BUDGET)
     return max_order, work
 
 

@@ -11,13 +11,11 @@ the augmented leading column for the implied face count f_{-1} = 1, the
 transfer matrix matches the entry formula indexed by dimension.
 """
 
-from __future__ import annotations
-
 import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import _check_ints, binomial
+from .exactnum import _check_ints, _render, binomial
 
 __all__ = [
     "TransferMatrix",
@@ -33,10 +31,10 @@ __all__ = [
 
 def _check_grid(entries, rows: int, cols: int, what: str) -> None:
     if len(entries) != rows:
-        raise ValueError(f"{what}: expected {rows} rows, got {len(entries)}")
+        raise ValueError(f"{what}: expected {_render(rows)} rows, got {len(entries)}")
     for row in entries:
         if len(row) != cols:
-            raise ValueError(f"{what}: expected {cols} columns, got {len(row)}")
+            raise ValueError(f"{what}: expected {_render(cols)} columns, got {len(row)}")
         _check_ints(row, f"{what}: entries must be integers")
 
 

@@ -50,6 +50,7 @@ SWEEP = "lgv: one lattice-path kernel; the sweep moves one head at a time"
 ORACLE = "msequence --oracle: one work budget, counted as the search runs"
 RANGE = "One integer rule, finished"
 DIGITS = "One digit rule at the CLI boundary"
+NUMBERS = "One number rule for library messages"
 
 CLI = ("tests/test_cli.py",)
 SCAN = ("tests/test_tnn.py", "tests/test_cli.py")
@@ -62,22 +63,30 @@ WORKERS = "min(jobs, len(ints), os.cpu_count() or 1)"
 BLOCK = "range(top, max(top - size, -1), -1)"
 MOVE = "if reach <= x < prev and _inside(n, x, s - x):"
 COMMAND_PARSER = 'argparse.ArgumentParser(prog=f"polytnn {name}")'
-COUNT = """        tested += binomial(v + k - 1, k)
-        if tested > ORACLE_WORK_CAP:
-            raise BudgetExceededError(
-                f"oracle infeasible: reaching degree {k} takes the search past "
-                f"its budget of {ORACLE_WORK_CAP} monomial tests"
-            )
+TESTED = "        tested += binomial(v + k - 1, k)\n"
+CAP_CHECK = """        if tested > ORACLE_WORK_CAP:
+            text = "oracle infeasible: reaching degree {} takes the search past its budget of {} monomial tests"
+            raise _refuse(text, k, ORACLE_WORK_CAP)
 """
+COUNT = TESTED + CAP_CHECK
 LISTING = """        prev = frozenset(chosen)
         avail = [m for m, divisors in _monomials(v, k) if prev.issuperset(divisors)]
 """
-MAX_ORDER = '_check_ints((max_order,), f"max_order must be in 1..{limit}", least=1, most=limit)'
+MAX_ORDER = '_check_ints((max_order,), "max_order must be in 1..{most}", least=1, most=limit)'
 LIFT = """    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
 """
 CUT = "    if rows * cols > SCAN_BUDGET:"
+BUDGETS = ("tests/test_budgets.py",)
+NUMBER_TESTS = ("tests/test_exactnum.py",)
+SHOWN = "    if not cap or m < 10**cap:\n"
+CHECK_LOOP = """    for v in values:
+        wrong = not isinstance(v, types) or isinstance(v, bool) or (least is not None and v < least)
+        if wrong or (most is not None and v > most):
+            raise ValueError(f"{message.format(least=_render(least), most=_render(most))}, got {_render(v)}")
+"""
+FAMILY = "if len(rows) > FAMILY_MAX_ORDER or n > FAMILY_MAX_N:"
 
 MUTANTS = (
     # a process keeps every transfer matrix it built
@@ -208,6 +217,28 @@ MUTANTS = (
     # check_scan sums every order of an oversized shape, or cuts one at exactly the budget
     Mutant("tnn.py", CUT, "    if False:", SCAN, DIGITS),
     Mutant("tnn.py", CUT, CUT.replace(">", ">="), SCAN, DIGITS),
+    # a number past the interpreter's int-to-str cap written in full, its digit count one short
+    # at a power of ten, and a refusal that writes its numbers by str
+    Mutant("exactnum.py", SHOWN, "    if True:\n", NUMBER_TESTS, NUMBERS),
+    Mutant("exactnum.py", "    while m >= 10**n:\n", "    while m > 10**n:\n", NUMBER_TESTS, NUMBERS),
+    Mutant("exactnum.py", "format(*map(_render, numbers))", "format(*map(str, numbers))", NUMBER_TESTS, NUMBERS),
+    # _check_ints writes its message on every call, before it checks anything
+    Mutant(
+        "exactnum.py",
+        CHECK_LOOP,
+        "    text = message.format(least=_render(least), most=_render(most))\n"
+        + CHECK_LOOP.replace("{message.format(least=_render(least), most=_render(most))}", "{text}"),
+        NUMBER_TESTS,
+        NUMBERS,
+    ),
+    # each budget refuses an input whose work is exactly at it
+    Mutant("tnn.py", "    if work > SCAN_BUDGET:", "    if work >= SCAN_BUDGET:", BUDGETS, NUMBERS),
+    Mutant("lgv.py", "if _vertex_count(n) > GRAPH_BUDGET:", "if _vertex_count(n) >= GRAPH_BUDGET:", BUDGETS, NUMBERS),
+    Mutant("lgv.py", FAMILY, FAMILY.replace("len(rows) >", "len(rows) >="), BUDGETS, NUMBERS),
+    Mutant("lgv.py", FAMILY, FAMILY.replace("n >", "n >="), BUDGETS, NUMBERS),
+    Mutant("macaulay.py", CAP_CHECK, CAP_CHECK.replace(">", ">=", 1), BUDGETS, NUMBERS),
+    # the oracle checks its cap only after it has listed the degree the cap guards
+    Mutant("macaulay.py", COUNT + LISTING, TESTED + LISTING + CAP_CHECK, BUDGETS, NUMBERS),
 )
 
 
