@@ -13,12 +13,12 @@ part of the contract:
 """
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
 # matrix, tnn and lgv --verify run these, so no op of theirs pays to import
-# them; each other subcommand imports its own module when it runs
+# them; each other subcommand imports its own module when it runs, and json
+# loads where a JSON text is written or read
 from .errors import CrossCheckError
 from .tnn import check_scan, determinant, is_totally_nonnegative
 from .transfer import parse_matrix_csv, parse_matrix_json, path_matrix, path_weight_closed_form, transfer_matrix
@@ -75,7 +75,11 @@ def cmd_matrix(args) -> int:
 
 def _emit(args, obj, text: str) -> None:
     """Print `obj` as sorted-key JSON for --format json, else `text`."""
-    print(json.dumps(obj, sort_keys=True) if args.format == "json" else text)
+    if args.format == "json":
+        import json
+
+        text = json.dumps(obj, sort_keys=True)
+    print(text)
 
 
 def _load_matrix_file(path: str, digits: int):
@@ -193,6 +197,8 @@ def cmd_lgv(args) -> int:
         print(f"det={det}, lgv={total}, equal")
         return 0
     if args.format == "json":
+        import json
+
         print(json.dumps(graph_json_obj(graph), sort_keys=True))
     elif args.format == "dot":
         sys.stdout.write(export_dot(graph))

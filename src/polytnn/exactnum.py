@@ -8,16 +8,22 @@ leans on, and the one rule for writing a number into a message (_render).
 """
 
 import sys
-from fractions import Fraction
 from math import comb
 
 from .errors import BudgetExceededError
 
 __all__ = ["Rational", "binomial", "ballot_paths"]
 
-# Exact rational type used throughout the package. Construction normalizes
-# eagerly, so equal values always compare and hash equal.
-Rational = Fraction
+
+def __getattr__(name: str):
+    # Rational, the exact rational type used throughout the package, is fractions.Fraction,
+    # imported on first use. Construction normalizes eagerly, so equal values always
+    # compare and hash equal.
+    if name == "Rational":
+        from fractions import Fraction
+
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def binomial(n: int, k: int) -> int:

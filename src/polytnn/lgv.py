@@ -29,7 +29,6 @@ on first read, for output only, and GRAPH_BUDGET refuses that build.
 """
 
 from functools import cached_property
-from fractions import Fraction
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -60,15 +59,22 @@ GRAPH_BUDGET = 25_000  # most vertices LatticeGraph.vertices builds; n = 315 has
 FAMILY_MAX_ORDER = 3
 FAMILY_MAX_N = 10
 
+# the most n * (min(i, j - i) + 1) path_weight_sum takes: its sweep holds at most min(i, j - i) + 1
+# head positions on each of its j < n anti-diagonals. At the edge, n = 200,000 with i = 0 and
+# j = n // 2 took 0.6 s on a 2-vCPU VM, nearly all of it in C(n, j)
+PATH_SUM_BUDGET = 200_000
+
 
 class Arc(NamedTuple):
     tail: Vertex
     head: Vertex
-    weight: Fraction
+    weight: "Fraction"
 
 
-def vertical_weight(n: int, y: int) -> Fraction:
+def vertical_weight(n: int, y: int) -> "Fraction":
     """Weight w_y = (n-y)/(y+1) of the vertical arc leaving height y."""
+    from fractions import Fraction
+
     return Fraction(n - y, y + 1)
 
 
@@ -114,6 +120,8 @@ class LatticeGraph(NamedTuple("LatticeGraph", [("n", int)])):
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
         """Every arc, sorted by (tail, head): from each tail, up then right."""
+        from fractions import Fraction
+
         arcs = []
         for x, y in sorted(self.vertices):
             if _inside(self.n, x, y + 1):
@@ -148,6 +156,8 @@ def _weighted(count: int, n: int, rows: Sequence[int], cols: Sequence[int]) -> i
     num, den = _family_weight(n, rows, cols)
     num *= count
     if num % den:
+        from fractions import Fraction
+
         raise CrossCheckError(f"n={n}, rows={rows}, cols={cols}: lgv weight {Fraction(num, den)} is not an integer")
     return num // den
 
@@ -158,8 +168,13 @@ def path_weight_sum(g: LatticeGraph, i: int, j: int) -> int:
     Every such path climbs heights i..j-1 once, so its weight is
     C(n,j)/C(n,i) whatever its route: the sum is the number of paths (the
     family sweep for one path, with no family budget) times that ratio.
+    Past PATH_SUM_BUDGET, BudgetExceededError.
     """
     _check_indices(g.n, i, j)
+    heads = min(i, j - i) + 1
+    if g.n * heads > PATH_SUM_BUDGET:
+        text = "the path sum from source {} to sink {} of order {} sweeps up to {} x {} head positions"
+        raise _refuse(text + ", over the budget of {}", i, j, g.n, g.n, heads, PATH_SUM_BUDGET)
     return _weighted(_count_families(g.n, [i], [j]), g.n, [i], [j])
 
 
@@ -167,7 +182,7 @@ class PathFamily(NamedTuple):
     """Pairwise vertex-disjoint paths, one per (source, sink) pair, with weight."""
 
     paths: tuple[tuple[Vertex, ...], ...]
-    weight: Fraction
+    weight: "Fraction"
 
 
 def check_minor(n: int, rows: Sequence[int], cols: Sequence[int]) -> None:
@@ -198,6 +213,8 @@ def nonintersecting_families(
     """
     rows, cols = list(rows), list(cols)
     check_minor(g.n, rows, cols)
+    from fractions import Fraction
+
     weight, start = Fraction(*_family_weight(g.n, rows, cols)), [tuple((g.sources[i],) for i in rows)]
     families = _sweep(g.n, rows, cols, start, _extend).get((), [])
     return [PathFamily(paths, weight) for paths in sorted(families)]

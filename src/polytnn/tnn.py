@@ -21,7 +21,6 @@ minor on its own (Bareiss).
 import marshal
 import os
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm, prod
@@ -29,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactnum import _check_ints, _refuse
 
-Scalar = Union[int, Fraction]
+Scalar = Union[int, "Fraction"]
 SCAN_BUDGET = 10**7  # most minors one scan checks; --d 17 has 3,124,549
 
 __all__ = [
@@ -57,7 +56,10 @@ class ExactMatrix(NamedTuple("ExactMatrix", [("entries", tuple)])):
         for row in entries:
             if len(row) != width:
                 raise ValueError("matrix rows must all have the same length")
-            _check_ints(row, "matrix entries must be int or Fraction", types=(int, Fraction))
+            if not all(type(x) is int for x in row):  # any other entry, a Fraction or a bool, takes the full check
+                from fractions import Fraction
+
+                _check_ints(row, "matrix entries must be int or Fraction", types=(int, Fraction))
         return super().__new__(cls, entries)
 
     @property
@@ -127,7 +129,11 @@ def determinant(m) -> Scalar:
 
 def _exact(value: int, scale: int) -> Scalar:
     """value / scale, an int exactly when it is whole."""
-    return Fraction(value, scale) if value % scale else value // scale
+    if value % scale:
+        from fractions import Fraction
+
+        return Fraction(value, scale)
+    return value // scale
 
 
 class MinorWitness(NamedTuple):

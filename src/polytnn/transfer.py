@@ -11,8 +11,6 @@ the augmented leading column for the implied face count f_{-1} = 1, the
 transfer matrix matches the entry formula indexed by dimension.
 """
 
-import json
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exactnum import _check_ints, _render, binomial
@@ -65,6 +63,8 @@ class TransferMatrix(NamedTuple("TransferMatrix", [("d", int), ("entries", tuple
         return _rows_csv(self.entries)
 
     def to_json(self) -> str:
+        import json
+
         obj = {"d": self.d, "rows": [list(r) for r in self.entries]}
         return json.dumps(obj, sort_keys=True)
 
@@ -92,6 +92,8 @@ class PathMatrix(NamedTuple("PathMatrix", [("n", int), ("entries", tuple)])):
         return _rows_csv(self.entries)
 
     def to_json(self) -> str:
+        import json
+
         obj = {"n": self.n, "rows": [list(r) for r in self.entries]}
         return json.dumps(obj, sort_keys=True)
 
@@ -128,12 +130,24 @@ def strip_leading_column(w: PathMatrix) -> TransferMatrix:
     return TransferMatrix(w.n - 1, tuple(row[1:] for row in w.entries))
 
 
-def _parse_entry(text: str):
-    s = text.strip()
-    try:
-        return Fraction(s) if "/" in s else int(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in matrix entry {s!r}") from None
+def _entry_parser():
+    """The cell reader of one parse: a cell, stripped, reads as an int, or as a Fraction
+    where it holds a "/"; fractions is imported at the first such cell, once a parse."""
+    fraction = None
+
+    def parse_entry(text: str):
+        nonlocal fraction
+        s = text.strip()
+        if "/" not in s:
+            return int(s)
+        if fraction is None:
+            from fractions import Fraction as fraction
+        try:
+            return fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in matrix entry {s!r}") from None
+
+    return parse_entry
 
 
 def _rectangular(rows: list, what: str) -> tuple[tuple, ...]:
@@ -149,11 +163,11 @@ def parse_matrix_csv(text: str) -> tuple[tuple, ...]:
     have the same length. Returns a tuple of row tuples with int entries,
     or Fraction entries where a denominator was given.
     """
-    rows = []
+    rows, parse_entry = [], _entry_parser()
     for line in text.splitlines():
         if not line.strip():
             continue
-        rows.append(tuple(_parse_entry(cell) for cell in line.split(",")))
+        rows.append(tuple(parse_entry(cell) for cell in line.split(",")))
     if not rows:
         raise ValueError("parse_matrix_csv: no rows found")
     return _rectangular(rows, "parse_matrix_csv")
@@ -164,6 +178,8 @@ def parse_matrix_json(text: str) -> tuple[tuple, ...]:
 
     Cells are integers, or strings read as CSV cells are (so "p/q" works).
     """
+    import json
+
     try:
         obj = json.loads(text)
     except RecursionError:
@@ -173,9 +189,9 @@ def parse_matrix_json(text: str) -> tuple[tuple, ...]:
     rows = obj["rows"]
     if not isinstance(rows, list) or not rows:
         raise ValueError('parse_matrix_json: "rows" must be a nonempty list')
-    out = []
+    out, parse_entry = [], _entry_parser()
     for r in rows:
         if not isinstance(r, list) or not all(type(e) in (int, str) for e in r):
             raise ValueError('parse_matrix_json: rows must be lists of integers or "p/q" strings')
-        out.append(tuple(e if type(e) is int else _parse_entry(e) for e in r))
+        out.append(tuple(e if type(e) is int else parse_entry(e) for e in r))
     return _rectangular(out, "parse_matrix_json")

@@ -2,8 +2,9 @@
 
     python3 tests/golden.py --record
 
-runs each argv in CALLS as `python -m polytnn` on this checkout's src/ and writes
-tests/golden/cli.jsonl, one JSON object a line: {"argv", "exit", "stdout", "stderr"}.
+runs each argv in CALLS as `python -m polytnn` on this checkout's src/, from the
+repository root, and writes tests/golden/cli.jsonl, one JSON object a line:
+{"argv", "exit", "stdout", "stderr"}.
 A stream of up to 2 KB (UTF-8) is kept as its text, so a failing replay shows a diff;
 a longer one as {"sha256", "bytes"}. tests/test_golden.py replays every line in-process
 through polytnn.cli.main. A change that alters output on purpose re-records the file
@@ -43,6 +44,36 @@ CALLS = (
     # the oracle's work cap, refused and answered
     ("msequence", "--seq", "1,7,5,1,2", "--oracle"),
     ("msequence", "--seq", "1,20000", "--oracle"),
+    # every subcommand in each --format it accepts
+    ("matrix", "--d", "4"),
+    ("matrix", "--d", "4", "--format", "csv"),
+    ("matrix", "--d", "4", "--format", "json"),
+    ("matrix", "--d", "4", "--augmented"),
+    ("matrix", "--n", "5", "--format", "json"),
+    ("tnn", "--d", "5"),
+    ("tnn", "--d", "5", "--format", "json"),
+    ("f2g", "--f", "6,12,8", "--d", "3"),
+    ("f2g", "--f", "6,12,8", "--d", "3", "--format", "csv"),
+    ("f2g", "--f", "6,12,8", "--d", "3", "--format", "json"),
+    ("g2f", "--g", "1,3", "--d", "3"),
+    ("g2f", "--g", "1,3", "--d", "3", "--format", "csv"),
+    ("g2f", "--g", "1,3", "--d", "3", "--format", "json"),
+    ("euler", "--f", "6,12,8", "--d", "3"),
+    ("euler", "--f", "6,12,8", "--d", "3", "--format", "json"),
+    ("feasible", "--f", "6,12,8", "--d", "3"),
+    ("feasible", "--f", "6,12,8", "--d", "3", "--format", "json"),
+    ("feasible", "--f", "4,6,5", "--d", "3"),
+    ("msequence", "--seq", "1,2,4"),
+    ("msequence", "--seq", "1,2,4", "--format", "json"),
+    ("lgv", "--n", "5"),
+    ("lgv", "--n", "5", "--format", "json"),
+    ("lgv", "--n", "5", "--format", "dot"),
+    # rational input: p/q cells in a CSV and "p/q" strings in a .json file, with a p/q
+    # min_minor and witness (paths from the repository root, where both runs start)
+    ("tnn", "--file", "tests/golden/rational.csv"),
+    ("tnn", "--file", "tests/golden/rational.csv", "--format", "json"),
+    ("tnn", "--file", "tests/golden/rational.json"),
+    ("tnn", "--file", "tests/golden/rational.json", "--format", "json"),
 )
 
 
@@ -56,7 +87,7 @@ def record() -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     lines = []
     for argv in CALLS:
-        run = subprocess.run([sys.executable, "-m", "polytnn", *argv], env=env, capture_output=True, timeout=60)
+        run = subprocess.run([sys.executable, "-m", "polytnn", *argv], cwd=ROOT, env=env, capture_output=True, timeout=60)
         row = {"argv": list(argv), "exit": run.returncode}
         row.update(stdout=stored(run.stdout.decode("utf-8")), stderr=stored(run.stderr.decode("utf-8")))
         lines.append(json.dumps(row, sort_keys=True) + "\n")

@@ -51,6 +51,7 @@ ORACLE = "msequence --oracle: one work budget, counted as the search runs"
 RANGE = "One integer rule, finished"
 DIGITS = "One digit rule at the CLI boundary"
 NUMBERS = "One number rule for library messages"
+LAZY_STDLIB = "Import fractions and json where they are first used"
 
 CLI = ("tests/test_cli.py",)
 SCAN = ("tests/test_tnn.py", "tests/test_cli.py")
@@ -87,6 +88,7 @@ CHECK_LOOP = """    for v in values:
             raise ValueError(f"{message.format(least=_render(least), most=_render(most))}, got {_render(v)}")
 """
 FAMILY = "if len(rows) > FAMILY_MAX_ORDER or n > FAMILY_MAX_N:"
+GOLDEN = ("tests/test_golden.py",)
 
 MUTANTS = (
     # a process keeps every transfer matrix it built
@@ -176,13 +178,7 @@ MUTANTS = (
     # the fold reads the least value of a worker that took no line
     Mutant("tnn.py", "for low, scale, _ in results if scale)", "for low, scale, _ in results)", SCAN, PIPE),
     # the old exact-value rule: an int only when the scale is 1, so a whole value over a scale is a Fraction
-    Mutant(
-        "tnn.py",
-        "Fraction(value, scale) if value % scale else value // scale",
-        "value if scale == 1 else Fraction(value, scale)",
-        SCAN,
-        PIPE,
-    ),
+    Mutant("tnn.py", "    if value % scale:\n", "    if scale != 1:\n", SCAN, PIPE),
     # the dealing pipe: its last block's byte not written, ceil(lines/255) lines a block,
     # the last block not clipped at line 0, and every block cut to its first line
     Mutant("tnn.py", "bytes(range(len(blocks)))", "bytes(range(len(blocks) - 1))", SCAN, BLOCKS),
@@ -239,6 +235,19 @@ MUTANTS = (
     Mutant("macaulay.py", CAP_CHECK, CAP_CHECK.replace(">", ">=", 1), BUDGETS, NUMBERS),
     # the oracle checks its cap only after it has listed the degree the cap guards
     Mutant("macaulay.py", COUNT + LISTING, TESTED + LISTING + CAP_CHECK, BUDGETS, NUMBERS),
+    # the row scan lets a bool through, a p/q cell is read by int, --format json prints the
+    # text, fractions loads at import again, and the path sum refuses a call at its budget
+    Mutant(
+        "tnn.py",
+        "if not all(type(x) is int for x in row):",
+        "if not all(isinstance(x, int) for x in row):",
+        RECORDS,
+        LAZY_STDLIB,
+    ),
+    Mutant("transfer.py", "            return fraction(s)\n", "            return int(s)\n", NESTED, LAZY_STDLIB),
+    Mutant("cli.py", "        text = json.dumps(obj, sort_keys=True)\n", "        json.dumps(obj, sort_keys=True)\n", GOLDEN, LAZY_STDLIB),
+    Mutant("tnn.py", "import sys\n", "import sys\nfrom fractions import Fraction\n", CLI, LAZY_STDLIB),
+    Mutant("lgv.py", "> PATH_SUM_BUDGET:", ">= PATH_SUM_BUDGET:", BUDGETS, LAZY_STDLIB),
 )
 
 

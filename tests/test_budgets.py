@@ -142,6 +142,50 @@ def test_family_budget_both_sides(n, order, data):
     assert lgv.minor_via_lgv(g, rows, cols) == sum(f.weight for f in families) == minor
 
 
+def path_sum_refusal(n: int, i: int, j: int, budget: int) -> str:
+    heads = min(i, j - i) + 1
+    text = f"the path sum from source {i} to sink {j} of order {n} sweeps up to {n} x {heads} head positions"
+    return f"{text}, over the budget of {budget}"
+
+
+@EDGES
+@given(st.integers(2, 40), st.data(), st.integers(-1, 1))
+@example(9, None, -1)
+@example(9, None, 0)
+def test_path_sum_budget_both_sides(n, data, offset):
+    corner = (n + 1) // 2 - 1
+    if data is None:  # an explicit example: the last source to the last sink
+        i, j = corner, n - 1
+    else:
+        i = data.draw(st.integers(0, corner))
+        j = data.draw(st.integers(i, n - 1))
+    budget = n * (min(i, j - i) + 1) + offset
+    g = lgv.lattice_graph(n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lgv, "PATH_SUM_BUDGET", budget)
+        if offset < 0:
+            mp.setattr(lgv, "_sweep", boom)
+            with pytest.raises(BudgetExceededError, match=f"^{path_sum_refusal(n, i, j, budget)}$"):
+                lgv.path_weight_sum(g, i, j)
+            return
+        assert lgv.path_weight_sum(g, i, j) == path_matrix(n).entries[i][j]
+
+
+@pytest.mark.parametrize(
+    "n, i, j",
+    # the edge at i = 0 and at n = 8,000; the farthest reach of the lgv-certify benchmark's n = 30
+    [(200_000, 0, 0), (200_001, 0, 0), (8_000, 0, 7_999), (8_000, 24, 48), (8_000, 25, 7_999), (4_000, 1_999, 2_000), (30, 14, 29)],
+)
+def test_real_path_sum_budget_edge(n, i, j, monkeypatch):
+    g = lgv.lattice_graph(n)
+    if n * (min(i, j - i) + 1) > 200_000:
+        monkeypatch.setattr(lgv, "_sweep", boom)
+        with pytest.raises(BudgetExceededError, match=f"^{path_sum_refusal(n, i, j, 200_000)}$"):
+            lgv.path_weight_sum(g, i, j)
+    else:
+        assert lgv.path_weight_sum(g, i, j) == lgv.path_weight_closed_form(n, i, j)
+
+
 def oracle_run(seq, max_vars, cap):
     """(the oracle's answer or its refusal, [(degree, monomials) per listing]): every listing
     is checked to come with the search's count still within cap."""

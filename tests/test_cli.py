@@ -19,6 +19,7 @@ from polytnn import BudgetExceededError, TnnReport
 from oracles import binomial_sum_h, full_parser_main, mcmullen_product
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+RATIONAL_CSV = Path(__file__).resolve().parent / "golden" / "rational.csv"
 
 # the library modules, and the ones every CLI call loads (matrix and tnn run no others)
 LIBRARY = {"errors", "exactnum", "transfer", "tnn", "macaulay", "polyvec", "lgv"}
@@ -805,6 +806,36 @@ class TestGlobalBehavior:
         res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert set(res.stderr.split()) == {f"polytnn.{short}" for short in loads}
+
+    @pytest.mark.parametrize(
+        "argv, code, loads",
+        [
+            (None, 0, set()),
+            (["tnn", "--d", "5"], 0, set()),
+            (["tnn", "--d", "5", "--jobs", "2"], 0, set()),
+            (["lgv", "--n", "9", "--verify", "--rows", "0,2", "--cols", "1,5"], 0, set()),
+            (["f2g", "--f", "6,12,8", "--d", "3"], 0, set()),
+            (["feasible", "--f", "6,12,8", "--d", "3"], 0, set()),
+            (["msequence", "--seq", "1,3,4", "--oracle"], 0, set()),
+            (["matrix", "--d", "4"], 0, set()),
+            (["tnn", "--file", str(RATIONAL_CSV)], 3, {"fractions", "decimal", "numbers"}),
+            (["tnn", "--d", "5", "--format", "json"], 0, {"json"}),
+            (["lgv", "--n", "5", "--format", "json"], 0, {"fractions", "decimal", "numbers", "json"}),
+        ],
+        ids=["import", "tnn", "tnn-jobs", "lgv-verify", "f2g", "feasible", "msequence", "matrix", "tnn-file", "tnn-json", "lgv-json"],
+    )
+    def test_fractions_and_json_load_only_in_the_calls_that_use_them(self, argv, code, loads):
+        # a fresh interpreter, and only what the import and the call add counts: a site may preload any
+        lazy = ("fractions", "decimal", "numbers", "json")
+        script = (
+            f"import sys\nbefore = set(sys.modules)\nimport polytnn.cli\nargv = {argv!r}\n"
+            "code = 0 if argv is None else polytnn.cli.main(argv)\n"
+            f"print(code, *(m for m in {lazy!r} if m in sys.modules and m not in before), file=sys.stderr)\n"
+            f"print(*(m for m in {lazy!r} if m in before), file=sys.stderr)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        added, preloaded = res.stderr.splitlines()[-2:]
+        assert added.split() == [str(code), *(m for m in lazy if m in loads - set(preloaded.split()))], res.stderr
 
     def test_determinism_across_runs(self):
         a = run_cli("lgv", "--n", "7", "--format", "json").stdout

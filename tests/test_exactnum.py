@@ -148,6 +148,12 @@ PROBES = {
         "ballot_paths: endpoint must lie in the first quadrant, got {}",
         (-(10**5000),),
     ),
+    "path sum": (  # before its budget, a sweep 10**5000 anti-diagonals long
+        lambda: path_weight_sum(lattice_graph(10**5000), 0, 10**5000 - 1),
+        BudgetExceededError,
+        "the path sum from source {} to sink {} of order {} sweeps up to {} x {} head positions, over the budget of {}",
+        (0, 10**5000 - 1, 10**5000, 10**5000, 1, 200_000),
+    ),
     "lgv source index": (
         lambda: path_weight_sum(lattice_graph(10), 10**4999, 0),
         ValueError,
